@@ -22,14 +22,13 @@ from .experiments import (
 )
 from .frobenius_sets import (
     DEFAULT_SIMULATION_CONSTANTS,
-    QuantileConstants,
     bernoulli_deviation_quantile,
+    calibrated_bound,
     chi_square_deviation_quantile,
     log_tail_constant,
     paired_rss_statistic,
     pauli_coverage_rate,
     pauli_deviation_constant,
-    quantile_constants,
     reavg_confidence_set,
     reavg_radius_sq,
     reavg_statistic,

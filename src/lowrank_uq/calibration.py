@@ -3,8 +3,8 @@
 Grid searches pick the smallest constant achieving a target coverage on a
 declared fixture suite; quantile fits pin the pilot risk constant D and the
 eigenvalue deviation scale.  Everything is seeded and deterministic.  The
-output is a key = value constants file consumed by the confidence-set
-builders and the certificate runner.
+output is a key = value constants file whose keys are those of
+``DEFAULT_SIMULATION_CONSTANTS`` and of :func:`calibrate_nuclear`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from .constants_io import save_constants
 from .experiments import ExperimentSpec, replication_statistic
+from .frobenius_sets import DEFAULT_SIMULATION_CONSTANTS, calibrated_bound
 from .matrices import frobenius_norm, nuclear_norm, random_rank_k_state
 from .measurement import measure_gaussian
 from .nuclear_sets import (
@@ -44,21 +45,22 @@ class CalibrationError(RuntimeError):
 def coverage_curve(spec: ExperimentSpec, method: str, n_values, grid) -> np.ndarray:
     """Coverage per grid constant, minimized over the fixture sample sizes.
 
-    The coverage event at constant c is
-    error_norm_sq <= stat + c * dev + c' sqrt(error_norm_sq / n), with dev the
-    method's deviation term (d/n for the pair statistic, 1/sqrt(n) for RSS).
+    The coverage event at constant c is that of :func:`run_experiment`,
+    error_norm_sq <= :func:`calibrated_bound` at the truth, with the
+    method's deviation constant set to c.
     """
     r_sq = spec.error_norm_sq
-    c_prime = spec.constant("ustat_c_prime" if method == "UStat" else "rss_c_prime")
+    kind = method.lower()
     grid = np.asarray(grid, dtype=float)
     worst = np.ones_like(grid)
     for n in n_values:
         stats = np.array(
             [replication_statistic(spec, method, n, rep) for rep in range(spec.reps)]
         )
-        slack = stats + c_prime * math.sqrt(r_sq) / math.sqrt(n) - r_sq
-        dev_unit = spec.d / n if method == "UStat" else 1.0 / math.sqrt(n)
-        cov = np.array([np.mean(slack + c * dev_unit >= 0) for c in grid])
+        cov = np.array([
+            np.mean(r_sq <= calibrated_bound(kind, stats, math.sqrt(r_sq), n, spec.d, c))
+            for c in grid
+        ])
         worst = np.minimum(worst, cov)
     return worst
 
@@ -166,25 +168,18 @@ def run_calibration(seed: int, out_path, targets=("rss", "ustat", "nuclear"),
         design="gaussian", error_kind="dirac", error_norm_sq=0.1,
         n_grid=(100, 500), reps=reps, d=32, seed=seed,
     )
-    if "ustat" in targets:
-        constants["ustat.C"] = calibrate_ball_constant(
-            fixture, "UStat", fixture.n_grid, coverage_target, grid
-        )
-        constants["ustat.C_prime"] = fixture.constant("ustat_c_prime")
-    if "rss" in targets:
-        constants["rss.C"] = calibrate_ball_constant(
-            fixture, "RSS", fixture.n_grid, coverage_target, grid
-        )
-        constants["rss.C_prime"] = fixture.constant("rss_c_prime")
+    for kind, method in (("ustat", "UStat"), ("rss", "RSS")):
+        if kind in targets:
+            constants[f"{kind}_c"] = calibrate_ball_constant(
+                fixture, method, fixture.n_grid, coverage_target, grid
+            )
+            constants[f"{kind}_c_prime"] = DEFAULT_SIMULATION_CONSTANTS[f"{kind}_c_prime"]
     if "nuclear" in targets:
         fix = PilotFixture(
             ensemble=pauli_design(4), sigma=0.1, n=8192, rank=2,
             reps=max(60, reps // 2),
         )
-        nuc = calibrate_nuclear(fix, delta, np.random.SeedSequence((seed, 0xA11)))
-        constants["pilot.D.pauli.0.1"] = nuc["pilot_D"]
-        constants["nuclear.c_v"] = nuc["nuclear_c_v"]
-        constants["nuclear.C"] = nuc["nuclear_C"]
+        constants.update(calibrate_nuclear(fix, delta, np.random.SeedSequence((seed, 0xA11))))
     if out_path is not None:
         save_constants(out_path, constants, header=f"calibration seed {seed}")
     return constants

@@ -65,8 +65,6 @@ class CertificateConfig:
     t_max: int = 14
     constants_regime: str = "simulation"
     pilot: PilotConfig = field(default_factory=PilotConfig)
-    rss_c: float = 1.0
-    rss_c_prime: float = 6.0
     isotropic_ustat: bool = False
 
     def __post_init__(self):
@@ -156,7 +154,7 @@ def _epoch_confidence(batch: MeasurementBatch, center, cfg: CertificateConfig,
         if method == "UStat":
             radius = ustat_calibrated_radius(stat, n, d)
         else:
-            radius = rss_calibrated_radius(stat, n, cfg.rss_c, cfg.rss_c_prime)
+            radius = rss_calibrated_radius(stat, n)
         diameter = radius
         radius_sq = radius**2
     else:

@@ -37,8 +37,18 @@ def _split_list(value: str) -> list:
     return [tok.strip() for tok in value.split(",") if tok.strip()]
 
 
+# keys of a ``simulate`` config; ``constants`` may only name the simulation
+# regime, the one the table harness implements
+SIMULATE_KEYS = ("seed", "design", "eta", "R", "n_grid", "reps", "d", "constants")
+
+
 def _cmd_simulate(args) -> int:
     cfg = _parse_config(args.config)
+    for key in cfg:
+        if key not in SIMULATE_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+    if cfg.get("constants", "simulation") != "simulation":
+        raise ValueError(f"config key 'constants' must be simulation, got {cfg['constants']!r}")
     seed = int(os.environ.get(SEED_ENV_VAR, cfg.get("seed", "1")))
     designs = _split_list(cfg.get("design", "gaussian"))
     error_kinds = _split_list(cfg.get("eta", "dirac"))

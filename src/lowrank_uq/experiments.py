@@ -4,7 +4,7 @@ Observations are ybar_i = tr(X^i eta) + eps_i with unit Gaussian noise,
 where eta plays the role of the estimation error theta - thetahat of norm
 ||eta||_F^2 = target ``error_norm_sq``.  Both the RSS and the pair statistic
 are computed with center 0, and the confidence balls use the calibrated
-constants (c_rss = 1, c_ustat = 2.5, c' = 6 at the 95% level).
+constants of ``DEFAULT_SIMULATION_CONSTANTS`` (95% level).
 
 Membership in the balls is the defining inequality with the unknown distance
 evaluated at the truth, ||eta||_F; the reported diameter replaces it by the
@@ -18,11 +18,11 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .frobenius_sets import DEFAULT_SIMULATION_CONSTANTS, rss_statistic, ustat_statistic
+from .frobenius_sets import calibrated_bound, rss_statistic, ustat_statistic
 from .measurement import measure_gaussian
 from .sensing import (
     gaussian_design,
@@ -58,7 +58,6 @@ class ExperimentSpec:
     reps: int
     d: int
     seed: int
-    constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.design not in _DESIGN_CODE:
@@ -71,9 +70,6 @@ class ExperimentSpec:
             raise ValueError("n_grid must be sorted ascending")
         if self.error_norm_sq <= 0:
             raise ValueError("error_norm_sq must be positive")
-
-    def constant(self, key: str) -> float:
-        return float(self.constants.get(key, DEFAULT_SIMULATION_CONSTANTS[key]))
 
 
 @dataclass(frozen=True)
@@ -158,12 +154,6 @@ def _cell_statistics(spec: ExperimentSpec, method: str, n: int, reps) -> np.ndar
     return np.array([replication_statistic(spec, method, n, rep) for rep in reps])
 
 
-def _deviation_term(spec: ExperimentSpec, method: str, n: int) -> float:
-    if method == "UStat":
-        return spec.constant("ustat_c") * spec.d / n
-    return spec.constant("rss_c") / math.sqrt(n)
-
-
 def _all_cell_statistics(spec: ExperimentSpec, workers: int | None) -> dict:
     """Statistic arrays for every (method, n) cell.
 
@@ -194,13 +184,12 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     r_sq = spec.error_norm_sq
     all_stats = _all_cell_statistics(spec, workers)
     for method in METHODS:
-        c_prime_key = "ustat_c_prime" if method == "UStat" else "rss_c_prime"
-        c_prime = spec.constant(c_prime_key)
+        kind = method.lower()
         for n in spec.n_grid:
-            dev = _deviation_term(spec, method, n)
             stats = all_stats[(method, int(n))]
-            covered = r_sq <= stats + dev + c_prime * math.sqrt(r_sq) / math.sqrt(n)
-            diameters = stats + dev + c_prime * np.sqrt(np.maximum(stats, 0.0)) / math.sqrt(n)
+            covered = r_sq <= calibrated_bound(kind, stats, math.sqrt(r_sq), n, spec.d)
+            roots = np.sqrt(np.maximum(stats, 0.0))
+            diameters = calibrated_bound(kind, stats, roots, n, spec.d)
             norm_err = np.sqrt(np.abs(stats - r_sq)) / math.sqrt(r_sq)
             q05, q50, q95 = np.quantile(norm_err, [0.05, 0.5, 0.95])
             rows.append(

@@ -14,14 +14,13 @@ every matrix satisfying the defining inequality.  Negative statistics are
 clamped to zero inside square roots.
 
 Two constant regimes exist: "theory" uses the explicit non-asymptotic
-quantile constants, "simulation" the Monte-Carlo calibrated constants
-(defaults C_RSS = 1, C_USTAT = 2.5, C' = 6, calibrated at the 95% level).
+quantile constants, "simulation" the Monte-Carlo calibrated constants of
+:data:`DEFAULT_SIMULATION_CONSTANTS` (calibrated at the 95% level).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -32,16 +31,15 @@ from .reports import ConfidenceReport
 from .sensing import apply_sampling, pauli_coefficients
 
 __all__ = [
-    "QuantileConstants",
     "log_tail_constant",
     "chi_square_deviation_quantile",
     "bernoulli_deviation_quantile",
     "pauli_coverage_rate",
     "pauli_deviation_constant",
-    "quantile_constants",
     "rss_statistic",
     "rss_radius_sq",
     "rss_confidence_set",
+    "calibrated_bound",
     "rss_calibrated_radius",
     "ustat_statistic",
     "ustat_radius_sq",
@@ -54,7 +52,9 @@ __all__ = [
     "DEFAULT_SIMULATION_CONSTANTS",
 ]
 
-# Calibrated to a 95% coverage level on the isotropic benchmark fixtures.
+# Calibrated to a 95% coverage level on the isotropic benchmark fixtures.  The
+# one namespace of the calibrated constants: ``calibrate`` writes these keys,
+# plus ``pilot_D``, ``nuclear_c_v`` and ``nuclear_C`` for the nuclear-norm set.
 DEFAULT_SIMULATION_CONSTANTS = {
     "rss_c": 1.0,
     "rss_c_prime": 6.0,
@@ -106,30 +106,6 @@ def pauli_deviation_constant(alpha: float, coherence: float = 1.0) -> float:
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     return math.log(6.0 / alpha) / pauli_coverage_rate(coherence)
-
-
-@dataclass(frozen=True)
-class QuantileConstants:
-    """The quantile constants entering the RSS ball at level alpha."""
-
-    alpha: float
-    z_alpha: float
-    xi: float
-    z: float
-    calibrated: str  # "theory" | "simulation"
-
-
-def quantile_constants(alpha: float, sigma: float, n: int, design_kind: str,
-                       coherence: float = 1.0,
-                       regime: str = "theory") -> QuantileConstants:
-    z = 0.0 if design_kind == "gaussian" else pauli_deviation_constant(alpha, coherence)
-    return QuantileConstants(
-        alpha=alpha,
-        z_alpha=log_tail_constant(alpha),
-        xi=chi_square_deviation_quantile(alpha, sigma, n),
-        z=z,
-        calibrated=regime,
-    )
 
 
 # --- RSS ----------------------------------------------------------------------
@@ -200,18 +176,14 @@ def rss_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float,
 
 def rss_confidence_set(batch: MeasurementBatch, center, sigma: float, alpha: float,
                        mode: str = "shape_constrained", z: float = 0.0,
-                       error_model: str = "gaussian",
-                       statistic_sigma: float | None = None) -> ConfidenceReport:
+                       error_model: str = "gaussian") -> ConfidenceReport:
     """Frobenius ball around ``center`` from the RSS statistic.
 
     ``z`` is 0 for isotropic designs and the Pauli deviation constant
-    otherwise.  ``statistic_sigma`` overrides the centering of the statistic
-    (pass 0 to skip centering when the variance is unknown but bounded).
-    See :func:`rss_radius_sq` for the radius itself.
+    otherwise.  See :func:`rss_radius_sq` for the radius itself.
     """
     n, d = batch.n, batch.dim
-    stat_sigma = sigma if statistic_sigma is None else statistic_sigma
-    stat = rss_statistic(batch, center, stat_sigma)
+    stat = rss_statistic(batch, center, sigma)
     radius_sq = rss_radius_sq(stat, n, d, sigma, alpha, mode=mode, z=z,
                               error_model=error_model)
     return ConfidenceReport(
@@ -220,21 +192,39 @@ def rss_confidence_set(batch: MeasurementBatch, center, sigma: float, alpha: flo
     )
 
 
-def rss_calibrated_radius(stat: float, n: int,
-                          c: float = DEFAULT_SIMULATION_CONSTANTS["rss_c"],
-                          c_prime: float = DEFAULT_SIMULATION_CONSTANTS["rss_c_prime"]) -> float:
+def calibrated_bound(kind: str, stat, root, n: int, d: int | None = None,
+                     c: float | None = None):
+    """Right-hand side stat + dev + c' root / sqrt(n) of the calibrated balls.
+
+    ``dev`` is c d / n for the pair statistic (``kind="ustat"``) and
+    c / sqrt(n) for RSS (``kind="rss"``); ``root`` stands for the unknown
+    distance ||v - center||_F.  Works elementwise on arrays, and leaves
+    ``stat`` unclamped.  The constants come from
+    :data:`DEFAULT_SIMULATION_CONSTANTS`; only a calibration grid search
+    passes its own ``c``.
+    """
+    if c is None:
+        c = DEFAULT_SIMULATION_CONSTANTS[f"{kind}_c"]
+    if kind == "ustat":
+        dev = c * d / n
+    elif kind == "rss":
+        dev = c / math.sqrt(n)
+    else:
+        raise ValueError(f"unknown calibrated ball {kind!r}")
+    return stat + dev + DEFAULT_SIMULATION_CONSTANTS[f"{kind}_c_prime"] * root / math.sqrt(n)
+
+
+def rss_calibrated_radius(stat: float, n: int) -> float:
     """Calibrated-constants radius sqrt(stat + c/sqrt(n) + c' sqrt(stat)/sqrt(n)),
     the statistic clamped at zero."""
     s = max(stat, 0.0)
-    return math.sqrt(s + c / math.sqrt(n) + c_prime * math.sqrt(s) / math.sqrt(n))
+    return math.sqrt(calibrated_bound("rss", s, math.sqrt(s), n))
 
 
-def ustat_calibrated_radius(stat: float, n: int, d: int,
-                            c: float = DEFAULT_SIMULATION_CONSTANTS["ustat_c"],
-                            c_prime: float = DEFAULT_SIMULATION_CONSTANTS["ustat_c_prime"]) -> float:
+def ustat_calibrated_radius(stat: float, n: int, d: int) -> float:
     """Calibrated-constants radius sqrt(stat + c d/n + c' sqrt(stat)/sqrt(n))."""
     s = max(stat, 0.0)
-    return math.sqrt(s + c * d / n + c_prime * math.sqrt(s) / math.sqrt(n))
+    return math.sqrt(calibrated_bound("ustat", s, math.sqrt(s), n, d))
 
 
 # --- U-statistic ----------------------------------------------------------------
@@ -294,8 +284,8 @@ def ustat_confidence_set(batch: MeasurementBatch, center, alpha: float,
     """Frobenius ball from the pair statistic (isotropic designs only).
 
     ``theory`` mode solves x = max(stat, 0) + c1 sqrt(x)/sqrt(n) + c2 d/n for
-    its largest root; ``simulation`` mode uses the calibrated radius with
-    constants c = 2.5, c' = 6.
+    its largest root, with ``c1`` and ``c2`` read from ``constants`` (default
+    1); ``simulation`` mode uses :func:`ustat_calibrated_radius`.
     """
     if batch.plan.ensemble.kind != "gaussian":
         raise ValueError("the U-statistic ball is only supported for isotropic designs")
@@ -307,11 +297,7 @@ def ustat_confidence_set(batch: MeasurementBatch, center, alpha: float,
                                     float(constants.get("c1", 1.0)),
                                     float(constants.get("c2", 1.0)))
     elif mode == "simulation":
-        radius_sq = ustat_calibrated_radius(
-            stat, n, d,
-            c=float(constants.get("c", DEFAULT_SIMULATION_CONSTANTS["ustat_c"])),
-            c_prime=float(constants.get("c_prime", DEFAULT_SIMULATION_CONSTANTS["ustat_c_prime"])),
-        ) ** 2
+        radius_sq = ustat_calibrated_radius(stat, n, d) ** 2
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ConfidenceReport(
@@ -365,15 +351,10 @@ def reavg_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float) -> 
     return _largest_root_sqrt_quadratic(a, b)
 
 
-def reavg_confidence_set(batch: MeasurementBatch, center, sigma: float, alpha: float,
-                         statistic_sigma: float | None = None) -> ConfidenceReport:
-    """Frobenius ball from the re-averaged statistic.
-
-    ``statistic_sigma`` overrides the centering of the statistic, as in
-    :func:`rss_confidence_set`.
-    """
-    stat_sigma = sigma if statistic_sigma is None else statistic_sigma
-    stat = reavg_statistic(batch, center, stat_sigma)
+def reavg_confidence_set(batch: MeasurementBatch, center, sigma: float,
+                         alpha: float) -> ConfidenceReport:
+    """Frobenius ball from the re-averaged statistic."""
+    stat = reavg_statistic(batch, center, sigma)
     n, d = batch.n, batch.dim
     radius_sq = reavg_radius_sq(stat, n, d, sigma, alpha)
     return ConfidenceReport(

@@ -15,10 +15,10 @@ import numpy as np
 from .matrices import check_hermitian
 from .sensing import (
     SensingPlan,
+    _read_pauli_plan,
     apply_sampling,
     gaussian_design,
     pauli_coefficients,
-    pauli_design,
 )
 
 __all__ = [
@@ -194,10 +194,8 @@ def read_batch_csv(path) -> MeasurementBatch:
     noise = _parse_noise(meta["noise"])
     tag = None if meta.get("tag", "-") == "-" else meta["tag"]
     if meta["kind"] == "pauli":
-        ensemble = pauli_design(int(d).bit_length() - 1)
-        indices = np.array([int(r[1]) for r in rows])
-        plan = SensingPlan(ensemble, n, indices=indices,
-                           seed=None if meta["seed"] == "-" else int(meta["seed"]))
+        seed = None if meta["seed"] == "-" else int(meta["seed"])
+        plan = _read_pauli_plan(d, [int(r[1]) for r in rows], seed)
     else:
         if meta["seed"] == "-":
             raise ValueError("gaussian batch file lacks a plan seed")

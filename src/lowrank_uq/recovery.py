@@ -45,7 +45,6 @@ class PilotConfig:
     lambda_scale: float = 1.5
     max_iters: int = 300
     grad_tol: float = 1e-6
-    step_rule: str = "fixed 1/L"
     step_override: float | None = None
 
     def __post_init__(self):

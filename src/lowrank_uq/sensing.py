@@ -382,15 +382,23 @@ def write_plan(plan: SensingPlan, path) -> None:
                 fh.write(f"{int(j)}\n")
 
 
+def _read_pauli_plan(d: int, indices, seed: int | None) -> SensingPlan:
+    """Pauli plan from indices read off a file; each must lie in [0, d^2)."""
+    ensemble = pauli_design(_num_qubits(d))
+    indices = np.asarray(indices)
+    bad = (indices < 0) | (indices >= d * d)
+    if bad.any():
+        raise ValueError(f"Pauli index {indices[bad][0]} out of range [0, {d * d})")
+    return SensingPlan(ensemble, len(indices), indices=indices, seed=seed)
+
+
 def read_plan(path) -> SensingPlan:
     with open(path) as fh:
         token, d_str, n_str, seed_str = fh.readline().split()
         d, n = int(d_str), int(n_str)
         seed = None if seed_str == "-" else int(seed_str)
         if token == "pauli":
-            ensemble = pauli_design(_num_qubits(d))
-            indices = np.array([int(fh.readline()) for _ in range(n)])
-            return SensingPlan(ensemble, n, indices=indices, seed=seed)
+            return _read_pauli_plan(d, [int(fh.readline()) for _ in range(n)], seed)
         ensemble = gaussian_design(d, hermitian=(token == "gaussian-hermitian"))
         if seed is None:
             raise ValueError("gaussian plan file lacks a seed")

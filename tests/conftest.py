@@ -62,7 +62,7 @@ def naive_ustat_entrywise(batch, center):
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            total += float(np.sum(a[i] * a[j]))
+            total += float(np.sum(a[i] * a[j]).real)
     return 2.0 * total / (n * (n - 1))
 
 

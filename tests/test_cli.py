@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import lowrank_uq as lq
 from lowrank_uq.cli import main
 
@@ -54,6 +56,17 @@ class TestSimulateCommand:
         cfg.write_text("design : pauli\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("line, name", [
+        ("n_gird = 20,40", "'n_gird'"),
+        ("constants = theory", "'constants'"),
+    ])
+    def test_unknown_key_or_regime_rejected(self, tmp_path, capsys, line, name):
+        cfg = _write_config(tmp_path, SIM_CONFIG + line + "\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCertifyCommand:
     def test_json_and_epoch_log(self, tmp_path, capsys, monkeypatch):
@@ -100,4 +113,6 @@ class TestCalibrateCommand:
         ])
         assert rc == 0
         constants = lq.load_constants(out)
-        assert "rss.C" in constants and constants["rss.C"] > 0
+        assert "rss_c" in constants and constants["rss_c"] > 0
+        namespace = set(lq.DEFAULT_SIMULATION_CONSTANTS) | {"pilot_D", "nuclear_c_v", "nuclear_C"}
+        assert set(constants) <= namespace

@@ -169,6 +169,6 @@ class TestCalibration:
 
     def test_constants_file_roundtrip(self, tmp_path):
         path = tmp_path / "constants.txt"
-        values = {"rss.C": 1.0, "ustat.C": 2.5, "pilot.D.pauli.0.1": 4.25}
+        values = {"rss_c": 1.0, "ustat_c": 2.5, "pilot_D": 4.25}
         lq.save_constants(path, values, header="test")
         assert lq.load_constants(path) == values

@@ -50,13 +50,6 @@ class TestPauliConstants:
         with pytest.raises(ValueError):
             lq.pauli_deviation_constant(6 / math.e, 1.0)  # > 1, degenerate
 
-    def test_quantile_constants_record(self):
-        qc = lq.quantile_constants(0.05, 0.5, 40, "pauli", 1.0, regime="theory")
-        assert qc.z_alpha == math.log(3 / 0.05)
-        assert qc.z > 0 and qc.calibrated == "theory"
-        qg = lq.quantile_constants(0.05, 0.5, 40, "gaussian")
-        assert qg.z == 0.0
-
 
 def _manual_batch(matrices, y, sigma=1.0):
     ens = lq.gaussian_design(matrices.shape[1])

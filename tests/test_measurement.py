@@ -132,6 +132,16 @@ class TestBatchCsv:
         assert back.noise == lq.BernoulliPauliNoise(32)
         assert np.array_equal(back.y, batch.y)
 
+    @pytest.mark.parametrize("d, index, match", [
+        (12, 7, "power of 2"), (4, -1, "out of range"), (4, 16, "out of range"),
+    ])
+    def test_bad_pauli_dimension_or_index_rejected(self, tmp_path, d, index, match):
+        path = tmp_path / "batch.csv"
+        path.write_text(f"# kind=pauli d={d} n=2 noise=gaussian:0.1 seed=- tag=-\n"
+                        f"i,design_index_or_file,y_i\n0,3,0.5\n1,{index},0.25\n")
+        with pytest.raises(ValueError, match=match):
+            lq.read_batch_csv(path)
+
     def test_distinct_batch_identities(self, rng):
         plan = lq.draw_plan(lq.pauli_design(1), 5, 1)
         a = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)

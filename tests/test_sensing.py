@@ -231,6 +231,13 @@ class TestPlanSerialization:
         assert back.ensemble.hermitian
         assert np.array_equal(back.matrices, plan.matrices)
 
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_range_index_rejected(self, tmp_path, bad):
+        path = tmp_path / "plan.txt"
+        path.write_text(f"pauli 4 2 -\n3\n{bad}\n")
+        with pytest.raises(ValueError, match="out of range"):
+            lq.read_plan(path)
+
     def test_gaussian_without_seed_rejected(self, tmp_path):
         plan = lq.draw_plan(lq.gaussian_design(2), 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="seed"):
