@@ -14,7 +14,7 @@ from .certificates import CertificateConfig, run_certificate
 from .experiments import ExperimentSpec, merged_table_rows, result_rows_csv, run_experiment
 from .matrices import frobenius_norm, random_rank_k_state
 from .measurement import BernoulliPauliNoise, GaussianNoise
-from .sensing import gaussian_design, pauli_design
+from .sensing import _num_qubits, gaussian_design, pauli_design
 
 SEED_ENV_VAR = "LOWRANK_UQ_SEED"
 
@@ -107,10 +107,7 @@ def _parse_noise(token: str, sigma: float):
 def _cmd_certify(args) -> int:
     seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV_VAR, "1"))
     if args.design == "pauli":
-        nq = int(args.d).bit_length() - 1
-        if args.d != 2**nq:
-            raise ValueError("pauli design needs d a power of 2")
-        ensemble = pauli_design(nq)
+        ensemble = pauli_design(_num_qubits(args.d))
     else:
         ensemble = gaussian_design(args.d, hermitian=True)
     noise = _parse_noise(args.noise, args.sigma)

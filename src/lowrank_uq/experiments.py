@@ -25,6 +25,7 @@ import numpy as np
 from .frobenius_sets import calibrated_bound, rss_statistic, ustat_statistic
 from .measurement import measure_gaussian
 from .sensing import (
+    _num_qubits,
     gaussian_design,
     index_to_word,
     pauli_basis_element,
@@ -70,6 +71,8 @@ class ExperimentSpec:
             raise ValueError("n_grid must be sorted ascending")
         if self.error_norm_sq <= 0:
             raise ValueError("error_norm_sq must be positive")
+        if "pauli" in (self.design, self.error_kind):
+            _num_qubits(self.d)
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,7 @@ def make_error_matrix(kind: str, norm_sq: float, d: int, rng) -> np.ndarray:
         eta[pos, pos] = scale
         return eta
     if kind == "pauli":
-        nq = int(d).bit_length() - 1
-        if d != 2**nq:
-            raise ValueError("the Pauli error kind needs d a power of 2")
+        nq = _num_qubits(d)
         word = index_to_word(int(gen.integers(d * d)), nq)
         return scale * pauli_basis_element(nq, word)
     raise ValueError(f"unknown error kind {kind!r}")
@@ -123,8 +124,7 @@ def _replication_seed(spec: ExperimentSpec, method: str, n: int, rep: int):
 
 def _ensemble(spec: ExperimentSpec):
     if spec.design == "pauli":
-        nq = int(spec.d).bit_length() - 1
-        return pauli_design(nq)
+        return pauli_design(_num_qubits(spec.d))
     # complex-valued error matrices need the Hermitian Gaussian variant
     return gaussian_design(spec.d, hermitian=spec.error_kind == "pauli")
 

@@ -15,7 +15,6 @@ plans can be shared across concurrent replications.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,16 +52,13 @@ PAULI_MATRICES = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-# Full-basis arrays are memoized up to this many qubits (d = 32 needs ~16 MB);
-# beyond that, coefficients are computed per word by tensor contraction.
-_BASIS_CACHE_MAX_QUBITS = 5
 _MAX_QUBITS = 8
 
 
 def _num_qubits(dim: int) -> int:
     n = int(dim).bit_length() - 1
     if dim != 2**n:
-        raise ValueError(f"Pauli design requires d a power of 2, got {dim}")
+        raise ValueError(f"the Pauli basis needs d a power of 2, got {dim}")
     return n
 
 
@@ -99,41 +95,48 @@ def pauli_basis_element(num_qubits: int, word) -> np.ndarray:
     return out * 2.0 ** (-num_qubits / 2.0)
 
 
-@functools.lru_cache(maxsize=4)
 def pauli_basis(num_qubits: int) -> np.ndarray:
     """All 4^N basis elements as an array of shape (4^N, d, d), indexed by
-    :func:`word_to_index`."""
-    if not 1 <= num_qubits <= _BASIS_CACHE_MAX_QUBITS:
-        raise ValueError(
-            f"full basis materialized only up to {_BASIS_CACHE_MAX_QUBITS} qubits"
-        )
+    :func:`word_to_index`.  Up to three qubits it gives the kernels of the
+    transform below; up to five it is the dense reference for testing it."""
+    if not 1 <= num_qubits <= 5:
+        raise ValueError("full basis materialized only up to 5 qubits")
     basis = np.ones((1, 1, 1), dtype=complex)
     for _ in range(num_qubits):
         dim = basis.shape[1]
         basis = np.einsum("jab,ycd->jyacbd", basis, np.stack(PAULI_MATRICES)).reshape(
             basis.shape[0] * 4, dim * 2, dim * 2
         )
-    basis = basis * 2.0 ** (-num_qubits / 2.0)
-    basis.setflags(write=False)
-    return basis
+    return basis * 2.0 ** (-num_qubits / 2.0)
 
 
-@functools.lru_cache(maxsize=4)
-def _basis_flat(num_qubits: int) -> np.ndarray:
-    flat = pauli_basis(num_qubits).reshape(4**num_qubits, -1).copy()
-    flat.setflags(write=False)
-    return flat
+# The Pauli transform as a butterfly over blocks of at most three qubits,
+# O(d^2 log d) in all (tensorized Pauli decomposition). The kernels are the
+# dense bases of one block, laid out to multiply from the right:
+# _FORWARD[k][r 2^k + c, j] = conj(E_j[r, c]) and _ADJOINT[k][j, r 2^k + c] =
+# 2^k E_j[r, c], which carries the adjoint's factor d = prod 2^k. The qubits
+# go into blocks greedily, so a d <= 8 transform is one matmul on a.ravel();
+# a larger one first brings the row and column axes of each block together
+# (_INTERLEAVE) and the adjoint separates them again at the end.
+_BLOCKS = {n: (3,) * (n // 3) + ((n % 3,) if n % 3 else ()) for n in range(1, _MAX_QUBITS + 1)}
+_FORWARD = {k: pauli_basis(k).reshape(4**k, -1).conj().T for k in (1, 2, 3)}
+_ADJOINT = {k: 2**k * pauli_basis(k).reshape(4**k, -1) for k in (1, 2, 3)}
+_INTERLEAVE = {
+    n: tuple(ax for b in range(len(blocks)) for ax in (b, len(blocks) + b))
+    for n, blocks in _BLOCKS.items()
+}
+_DEINTERLEAVE = {n: tuple(int(i) for i in np.argsort(ax)) for n, ax in _INTERLEAVE.items()}
 
 
-def _coefficient_by_contraction(a: np.ndarray, word) -> complex:
-    """tr(E_word a) without materializing E_word (O(N d^2) work)."""
-    n = len(word)
-    t = a.reshape((2,) * (2 * n))  # row axes first, column axes last
-    for q, y in enumerate(word):
-        m = n - q  # qubits left; row axis 0, matching column axis m
-        t = np.tensordot(PAULI_MATRICES[y], t, axes=([0, 1], [m, 0]))
-        # tensordot prepends nothing here (scalar contraction), axes shrink by 2
-    return complex(t) * 2.0 ** (-n / 2.0)
+def _butterfly(x: np.ndarray, blocks: tuple, kernels: dict) -> np.ndarray:
+    """Apply the Kronecker product of the ``kernels`` of ``blocks`` to x.
+
+    Each pass transforms the leading block and rotates it to the end, so the
+    blocks are back in their order after the last pass.
+    """
+    for k in blocks:
+        x = x.reshape(4**k, -1).T @ kernels[k]
+    return x.reshape(-1)
 
 
 def pauli_coefficients(a, num_qubits: int, indices=None) -> np.ndarray:
@@ -142,18 +145,12 @@ def pauli_coefficients(a, num_qubits: int, indices=None) -> np.ndarray:
     For Hermitian ``a`` the coefficients are real up to rounding; they are
     returned as complex and it is the caller's business to take real parts.
     """
-    a = np.asarray(a, dtype=complex)
-    if num_qubits <= _BASIS_CACHE_MAX_QUBITS:
-        coeffs = _basis_flat(num_qubits).conj() @ a.ravel()
-        return coeffs if indices is None else coeffs[np.asarray(indices)]
-    if indices is None:
-        indices = np.arange(4**num_qubits)
-    indices = np.asarray(indices)
-    uniq, inverse = np.unique(indices, return_inverse=True)
-    vals = np.array(
-        [_coefficient_by_contraction(a, index_to_word(int(j), num_qubits)) for j in uniq]
-    )
-    return vals[inverse]
+    if num_qubits not in _BLOCKS:
+        raise ValueError(f"number of qubits must be in [1, {_MAX_QUBITS}]")
+    blocks = _BLOCKS[num_qubits]
+    a = np.asarray(a, dtype=complex).reshape(tuple(2**k for k in blocks) * 2)
+    coeffs = _butterfly(a.transpose(_INTERLEAVE[num_qubits]), blocks, _FORWARD)
+    return coeffs if indices is None else coeffs[np.asarray(indices)]
 
 
 @dataclass(frozen=True)
@@ -314,12 +311,9 @@ def adjoint_average(plan: SensingPlan, y) -> np.ndarray:
     else:
         w = np.bincount(plan.indices, weights=y, minlength=d * d)
         nq = plan.ensemble.num_qubits
-        if nq <= _BASIS_CACHE_MAX_QUBITS:
-            m = d * (w @ _basis_flat(nq)).reshape(d, d)
-        else:
-            m = np.zeros((d, d), dtype=complex)
-            for j in np.nonzero(w)[0]:
-                m += d * w[j] * pauli_basis_element(nq, index_to_word(int(j), nq))
+        blocks = _BLOCKS[nq]
+        m = _butterfly(w, blocks, _ADJOINT).reshape(sum(((2**k, 2**k) for k in blocks), ()))
+        m = m.transpose(_DEINTERLEAVE[nq]).reshape(d, d)
     return hermitize(m / plan.n)
 
 

@@ -124,6 +124,13 @@ class TestRunExperiment:
             lq.ExperimentSpec(design="foo", error_kind="dirac", error_norm_sq=0.1,
                               n_grid=(20,), reps=10, d=4, seed=1)
 
+    @pytest.mark.parametrize("design,error_kind", [("pauli", "dirac"), ("gaussian", "pauli")])
+    def test_pauli_dimension_must_be_power_of_two(self, design, error_kind):
+        # d = 12 used to build a d = 8 design and fail later on a shape mismatch
+        with pytest.raises(ValueError, match="power of 2"):
+            lq.ExperimentSpec(design=design, error_kind=error_kind, error_norm_sq=0.1,
+                              n_grid=(20,), reps=10, d=12, seed=1)
+
 
 class TestIsotropyOfGaussianDesign:
     @pytest.mark.slow

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lowrank_uq as lq
@@ -51,16 +53,71 @@ class TestPauliBasis:
         for idx in (0, 1, 5, 63):
             assert lq.word_to_index(lq.index_to_word(idx, 3)) == idx
 
-    def test_coefficients_match_contraction_path(self, rng):
-        # the streaming contraction (used above the cache cutoff) agrees with
-        # the materialized basis
-        from lowrank_uq.sensing import _coefficient_by_contraction
 
-        a = random_hermitian(8, rng)
-        coeffs = lq.pauli_coefficients(a, 3)
-        for idx in (0, 7, 21, 63):
-            direct = _coefficient_by_contraction(a, lq.index_to_word(idx, 3))
-            assert abs(coeffs[idx] - direct) <= 1e-12
+# Property tests of the Pauli transform (forward: pauli_coefficients and
+# apply_sampling; adjoint: adjoint_average) at each of 1-8 qubits.
+# Derandomized, so a run of the suite is reproducible; the seed feeds numpy.
+_PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
+_QUBITS = pytest.mark.parametrize("nq", range(1, 9))
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _rel(x, ref):
+    return float(np.max(np.abs(np.asarray(x) - ref))) / max(float(np.linalg.norm(ref)), 1e-300)
+
+
+class TestPauliTransformProperties:
+    @_QUBITS
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.integers(min_value=1, max_value=300))
+    def test_adjointness(self, nq, seed, n):
+        g = np.random.default_rng(seed)
+        a = random_hermitian(2**nq, g)
+        plan = lq.draw_plan(lq.pauli_design(nq), n, g)
+        y = g.standard_normal(n)
+        vals = lq.apply_sampling(plan, a)
+        lhs = float(np.dot(y, vals))
+        rhs = n * float(np.real(np.vdot(lq.adjoint_average(plan, y), a)))
+        scale = float(np.linalg.norm(y) * np.linalg.norm(vals))
+        assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
+
+    @_QUBITS
+    @_PROPERTY
+    @given(seed=_SEEDS)
+    def test_parseval_and_real_coefficients(self, nq, seed):
+        a = random_hermitian(2**nq, np.random.default_rng(seed))
+        coeffs = lq.pauli_coefficients(a, nq)
+        fsq = lq.frobenius_norm(a) ** 2
+        assert abs(float(np.sum(np.abs(coeffs) ** 2)) - fsq) <= 1e-12 * fsq
+        assert float(np.max(np.abs(coeffs.imag))) <= 1e-12 * np.sqrt(fsq)
+
+    @_QUBITS
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.integers(min_value=1, max_value=12))
+    def test_matches_dense_and_per_word_oracles(self, nq, seed, n):
+        # forward and adjoint against the dense basis up to 5 qubits, and
+        # against single materialized words on the plan's indices above that
+        g = np.random.default_rng(seed)
+        d = 2**nq
+        a = random_hermitian(d, g)
+        plan = lq.draw_plan(lq.pauli_design(nq), n, g)
+        y = g.standard_normal(n)
+        if nq <= 5:
+            flat = lq.pauli_basis(nq).reshape(4**nq, -1)
+            assert _rel(lq.pauli_coefficients(a, nq), flat.conj() @ a.ravel()) <= 1e-12
+            words = flat[plan.indices].reshape(n, d, d)
+        else:
+            words = np.array([lq.pauli_basis_element(nq, lq.index_to_word(int(j), nq))
+                              for j in plan.indices])
+        direct = np.array([np.vdot(w, a) for w in words])
+        assert _rel(lq.pauli_coefficients(a, nq, plan.indices), direct) <= 1e-12
+        expected = lq.hermitize(d * np.tensordot(y, words, axes=1) / n)
+        assert _rel(lq.adjoint_average(plan, y), expected) <= 1e-12
+
+    @pytest.mark.parametrize("nq", [0, 9])
+    def test_rejects_qubit_count_out_of_range(self, nq):
+        with pytest.raises(ValueError, match="number of qubits"):
+            lq.pauli_coefficients(np.eye(2**nq), nq)
 
 
 class TestDrawPlan:
