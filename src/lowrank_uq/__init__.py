@@ -25,19 +25,15 @@ from .frobenius_sets import (
     bernoulli_deviation_quantile,
     calibrated_bound,
     chi_square_deviation_quantile,
+    frobenius_ball,
     log_tail_constant,
     paired_rss_statistic,
     pauli_coverage_rate,
     pauli_deviation_constant,
-    reavg_confidence_set,
     reavg_radius_sq,
     reavg_statistic,
-    rss_calibrated_radius,
-    rss_confidence_set,
     rss_radius_sq,
     rss_statistic,
-    ustat_calibrated_radius,
-    ustat_confidence_set,
     ustat_radius_sq,
     ustat_statistic,
 )

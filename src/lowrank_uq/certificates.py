@@ -2,18 +2,21 @@
 
 Doubling epochs m = 1, 2, ...: each epoch takes 2^(m+1) fresh measurements,
 splits them into a pilot half (estimate, then project onto the state space)
-and an uncertainty half (confidence ball around the pilot at per-epoch level
-alpha = delta / (3T)), and stops once the ball's Frobenius diameter falls
-below the target accuracy.  Epochs never reuse measurements; below n = d^2
-the ball comes from the RSS statistic, at n >= d^2 from the re-averaged
-full-basis statistic.
+and an uncertainty half (a :func:`~lowrank_uq.frobenius_sets.frobenius_ball`
+around the pilot at per-epoch level alpha = delta / (3T)), and stops once the
+ball's width falls to the target accuracy.  Epochs never reuse measurements.
+The ball's statistic is PairedRSS under Bernoulli noise with fewer
+preparations T than n_half (the variance is unknown); once n_half >= d^2 it
+is ReAvg for Pauli designs and UStat for isotropic designs with
+``isotropic_ustat`` set; otherwise it is RSS.
 
 Two constants regimes: "theory" uses the explicit quantile constants (too
 conservative to stop at desk scale, which is surfaced, not hidden, by the
-epoch log), "simulation" the Monte-Carlo calibrated diameter formulas.
-Centers and admissible truths all lie in the state space, whose Frobenius
-diameter is at most 2 (bounded by the trace-norm diameter), so reported
-diameters are capped there.
+epoch log) and compares the ball's diameter 2 * radius with the target;
+"simulation" uses the Monte-Carlo calibrated constants and compares the
+radius itself.  Centers and admissible truths all lie in the state space,
+whose Frobenius diameter is at most 2 (bounded by the trace-norm diameter),
+so reported widths are capped there.
 """
 
 from __future__ import annotations
@@ -24,23 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frobenius_sets import (
-    paired_rss_statistic,
-    pauli_deviation_constant,
-    reavg_radius_sq,
-    reavg_statistic,
-    rss_calibrated_radius,
-    rss_radius_sq,
-    rss_statistic,
-    ustat_calibrated_radius,
-    ustat_radius_sq,
-    ustat_statistic,
-)
+from .frobenius_sets import frobenius_ball
 from .matrices import check_quantum_state
 from .measurement import (
     BernoulliPauliNoise,
     GaussianNoise,
-    MeasurementBatch,
     measure_bernoulli_pauli,
     measure_gaussian,
 )
@@ -125,68 +116,31 @@ class Certificate:
         return json.dumps(payload, sort_keys=True)
 
 
-def _epoch_confidence(batch: MeasurementBatch, center, cfg: CertificateConfig,
-                      alpha: float, method: str):
-    """Per-epoch statistic, radius and diameter under the chosen regime."""
-    noise = cfg.noise
-    n, d = batch.n, batch.dim
-    if isinstance(noise, GaussianNoise):
-        sigma, stat_sigma, error_model = noise.sigma, noise.sigma, "gaussian"
-    elif isinstance(noise, BernoulliPauliNoise):
-        # variance unknown; bounded by d/T.  With T >= n the centering is
-        # dropped and the bound enters the constants; with T < n the paired
-        # statistic avoids the variance altogether.
-        sigma = math.sqrt(noise.variance_bound(d))
-        stat_sigma, error_model = 0.0, "bernoulli"
-    else:
-        raise TypeError(f"unknown noise model {noise!r}")
-
-    if method == "PairedRSS":
-        stat = paired_rss_statistic(batch, center)
-    elif method == "ReAvg":
-        stat = reavg_statistic(batch, center, stat_sigma)
-    elif method == "UStat":
-        stat = ustat_statistic(batch, center)
-    else:
-        stat = rss_statistic(batch, center, stat_sigma)
-
-    if cfg.constants_regime == "simulation":
-        if method == "UStat":
-            radius = ustat_calibrated_radius(stat, n, d)
-        else:
-            radius = rss_calibrated_radius(stat, n)
-        diameter = radius
-        radius_sq = radius**2
-    else:
-        if method == "ReAvg":
-            radius_sq = reavg_radius_sq(stat, n, d, sigma, alpha)
-        elif method == "UStat":
-            # Chebyshev-type level constants with the unit Frobenius bound
-            zeta = math.sqrt(1.0 / alpha)
-            radius_sq = ustat_radius_sq(stat, n, d, zeta, zeta)
-        else:
-            z = 0.0
-            if cfg.ensemble.kind == "pauli":
-                z = pauli_deviation_constant(alpha, cfg.ensemble.coherence)
-            radius_sq = rss_radius_sq(stat, n, d, sigma, alpha,
-                                      mode="implicit_solve", z=z,
-                                      error_model=error_model)
-        diameter = 2.0 * math.sqrt(radius_sq)
-    return stat, radius_sq, min(diameter, STATE_SPACE_DIAMETER)
-
-
 def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
-    """Run the doubling-epoch procedure until the ball diameter is <= epsilon.
+    """Run the doubling-epoch procedure until the ball's width is <= epsilon.
 
     ``target`` is either a density matrix (simulation mode: measurements are
     generated internally under ``cfg.noise``) or a callable plan ->
-    MeasurementBatch querying a live data source.  Measurements are never
-    reused across epochs, and the pilot and uncertainty halves of an epoch
-    are disjoint.
+    MeasurementBatch querying a live data source; a batch for another plan
+    or under another noise than ``cfg.noise`` raises ValueError.
+    Measurements are never reused across epochs, and the pilot and
+    uncertainty halves of an epoch are disjoint.
     """
     gen = np.random.default_rng(rng)
     if callable(target):
-        acquire = target
+        def acquire(plan):
+            # the ball reads the design and the noise level from the batch
+            batch = target(plan)
+            got = batch.plan
+            if got is not plan and not (got.ensemble == plan.ensemble and got.n == plan.n
+                                        and np.array_equal(got.indices, plan.indices)
+                                        and np.array_equal(got.matrices, plan.matrices)):
+                raise ValueError("the oracle returned a batch for a different plan "
+                                 "than requested")
+            if batch.noise != cfg.noise:
+                raise ValueError(f"the oracle's noise {batch.noise!r} differs from "
+                                 f"{cfg.noise!r}")
+            return batch
     else:
         state = check_quantum_state(target)
 
@@ -210,8 +164,7 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
         pilot_batch = acquire(pilot_plan)
         theta_hat = pilot_to_state(pilot_estimate(pilot_batch, cfg.pilot))
 
-        unknown_sigma = isinstance(cfg.noise, BernoulliPauliNoise)
-        if unknown_sigma and cfg.noise.shots < n_half:
+        if isinstance(cfg.noise, BernoulliPauliNoise) and cfg.noise.shots < n_half:
             method = "PairedRSS"
             uq_plan = draw_paired_plan(cfg.ensemble, n_half, gen)
         elif cfg.ensemble.kind == "pauli" and n_half >= d * d:
@@ -225,9 +178,17 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
             uq_plan = draw_plan(cfg.ensemble, n_half, gen)
         uq_batch = acquire(uq_plan)
 
-        stat, radius_sq, diameter = _epoch_confidence(uq_batch, theta_hat, cfg, alpha, method)
+        ball = frobenius_ball(method, uq_batch, theta_hat, alpha, cfg.constants_regime)
+        # The paper stops on the diameter of the confidence set, 2 * radius,
+        # and so does the theory regime.  The simulation regime compares the
+        # calibrated radius itself: it bounds the error of the center whenever
+        # the ball covers the truth, which is the event the constants were
+        # calibrated for.  Both are capped at the state space's diameter.
+        radius = math.sqrt(ball.radius_sq)
+        width = radius if cfg.constants_regime == "simulation" else 2.0 * radius
+        diameter = min(width, STATE_SPACE_DIAMETER)
         epochs.append(EpochRecord(m, 2 * n_half, n_half, method, alpha,
-                                  stat, radius_sq, diameter))
+                                  ball.statistic_value, ball.radius_sq, diameter))
         if diameter <= cfg.epsilon:
             stopped = True
             break

@@ -2,20 +2,23 @@
 
 Four statistics, all with conditional mean ||theta - center||_F^2:
 
-* RSS statistic (residual sum of squares minus the noise level),
-* a U-statistic over pairs of measurements (isotropic designs),
-* a re-averaged full-basis statistic for Pauli designs with n >= d^2,
-* a paired-residual statistic that needs no knowledge of the noise level.
+* RSS: residual sum of squares minus the noise level,
+* UStat: a U-statistic over pairs of measurements (isotropic designs),
+* ReAvg: a re-averaged full-basis statistic for Pauli designs with n >= d^2,
+* PairedRSS: paired residuals, which need no knowledge of the noise level.
 
-Each statistic has a matching confidence ball.  Radii that depend on the
-unknown distance ||v - center||_F are resolved by taking the largest root of
-the induced quadratic in sqrt(x), which yields the smallest ball containing
-every matrix satisfying the defining inequality.  Negative statistics are
-clamped to zero inside square roots.
+:func:`frobenius_ball` is the one map from a method and a constants regime
+to a statistic and a ball.  Radii that depend on the unknown distance
+||v - center||_F are resolved by taking the largest root of the induced
+quadratic in sqrt(x), which yields the smallest ball containing every matrix
+satisfying the defining inequality.  Negative statistics are clamped to zero
+inside square roots.
 
 Two constant regimes exist: "theory" uses the explicit non-asymptotic
 quantile constants, "simulation" the Monte-Carlo calibrated constants of
-:data:`DEFAULT_SIMULATION_CONSTANTS` (calibrated at the 95% level).
+:data:`DEFAULT_SIMULATION_CONSTANTS` (calibrated at the 95% level).  The
+sequential certificate compares the radius with its target accuracy in the
+simulation regime and the diameter 2 * radius in the theory regime.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy import stats
 
 from .matrices import check_hermitian
-from .measurement import MeasurementBatch
+from .measurement import BernoulliPauliNoise, MeasurementBatch, noise_scale
 from .reports import ConfidenceReport
 from .sensing import apply_sampling, pauli_coefficients
 
@@ -38,17 +41,13 @@ __all__ = [
     "pauli_deviation_constant",
     "rss_statistic",
     "rss_radius_sq",
-    "rss_confidence_set",
     "calibrated_bound",
-    "rss_calibrated_radius",
     "ustat_statistic",
     "ustat_radius_sq",
-    "ustat_confidence_set",
-    "ustat_calibrated_radius",
     "reavg_statistic",
     "reavg_radius_sq",
-    "reavg_confidence_set",
     "paired_rss_statistic",
+    "frobenius_ball",
     "DEFAULT_SIMULATION_CONSTANTS",
 ]
 
@@ -127,18 +126,15 @@ def _largest_root_sqrt_quadratic(a: float, b: float) -> float:
 
 
 def rss_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float,
-                  mode: str = "shape_constrained", z: float = 0.0,
-                  error_model: str = "gaussian") -> float:
+                  z: float = 0.0, error_model: str = "gaussian") -> float:
     """Squared radius of the RSS-type ball for a given statistic value.
 
     The defining inequality is
 
         ||v - center||^2 <= 2 (stat + z d/n + (zbar + xi) / sqrt(n)),
 
-    with zbar^2 = z_{alpha/3} sigma^2 max(3 ||v - center||^2, 4 z d / n).
-    ``shape_constrained`` bounds ||v - center|| by 2 (valid on the state
-    space), giving an explicit radius; ``implicit_solve`` returns the largest
-    x solving the induced two-regime quadratic.  With
+    with zbar^2 = z_{alpha/3} sigma^2 max(3 ||v - center||^2, 4 z d / n);
+    the radius is the largest x solving the induced two-regime quadratic.  With
     ``error_model="bernoulli"`` the chi-square and log quantiles are replaced
     by the Chebyshev constants sqrt(3/alpha) (requires T >= 4 d^2) and
     ``sigma`` should be the variance bound sqrt(d/T).
@@ -155,11 +151,6 @@ def rss_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float,
         raise ValueError(f"unknown error model {error_model!r}")
 
     zd_term = z * d / n
-    if mode == "shape_constrained":
-        zbar = sigma * math.sqrt(zlog * max(12.0, 4.0 * zd_term))
-        return max(0.0, 2.0 * (stat + zd_term + (zbar + xi) / math.sqrt(n)))
-    if mode != "implicit_solve":
-        raise ValueError(f"unknown mode {mode!r}")
     b = 2.0 * (stat + zd_term + xi / math.sqrt(n))
     a = 2.0 * sigma * math.sqrt(zlog) / math.sqrt(n)
     candidates = [0.0]
@@ -172,24 +163,6 @@ def rss_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float,
     if 3.0 * x_const <= 4.0 * zd_term * (1 + 1e-12):
         candidates.append(x_const)
     return max(candidates)
-
-
-def rss_confidence_set(batch: MeasurementBatch, center, sigma: float, alpha: float,
-                       mode: str = "shape_constrained", z: float = 0.0,
-                       error_model: str = "gaussian") -> ConfidenceReport:
-    """Frobenius ball around ``center`` from the RSS statistic.
-
-    ``z`` is 0 for isotropic designs and the Pauli deviation constant
-    otherwise.  See :func:`rss_radius_sq` for the radius itself.
-    """
-    n, d = batch.n, batch.dim
-    stat = rss_statistic(batch, center, sigma)
-    radius_sq = rss_radius_sq(stat, n, d, sigma, alpha, mode=mode, z=z,
-                              error_model=error_model)
-    return ConfidenceReport(
-        center=check_hermitian(center), radius_sq=radius_sq, norm_kind="frobenius",
-        level_alpha=alpha, method="RSS", statistic_value=stat, n=n, d=d,
-    )
 
 
 def calibrated_bound(kind: str, stat, root, n: int, d: int | None = None,
@@ -212,19 +185,6 @@ def calibrated_bound(kind: str, stat, root, n: int, d: int | None = None,
     else:
         raise ValueError(f"unknown calibrated ball {kind!r}")
     return stat + dev + DEFAULT_SIMULATION_CONSTANTS[f"{kind}_c_prime"] * root / math.sqrt(n)
-
-
-def rss_calibrated_radius(stat: float, n: int) -> float:
-    """Calibrated-constants radius sqrt(stat + c/sqrt(n) + c' sqrt(stat)/sqrt(n)),
-    the statistic clamped at zero."""
-    s = max(stat, 0.0)
-    return math.sqrt(calibrated_bound("rss", s, math.sqrt(s), n))
-
-
-def ustat_calibrated_radius(stat: float, n: int, d: int) -> float:
-    """Calibrated-constants radius sqrt(stat + c d/n + c' sqrt(stat)/sqrt(n))."""
-    s = max(stat, 0.0)
-    return math.sqrt(calibrated_bound("ustat", s, math.sqrt(s), n, d))
 
 
 # --- U-statistic ----------------------------------------------------------------
@@ -279,33 +239,6 @@ def ustat_radius_sq(stat: float, n: int, d: int, c1: float, c2: float) -> float:
     return _largest_root_sqrt_quadratic(c1 / math.sqrt(n), base)
 
 
-def ustat_confidence_set(batch: MeasurementBatch, center, alpha: float,
-                         constants=None, mode: str = "theory") -> ConfidenceReport:
-    """Frobenius ball from the pair statistic (isotropic designs only).
-
-    ``theory`` mode solves x = max(stat, 0) + c1 sqrt(x)/sqrt(n) + c2 d/n for
-    its largest root, with ``c1`` and ``c2`` read from ``constants`` (default
-    1); ``simulation`` mode uses :func:`ustat_calibrated_radius`.
-    """
-    if batch.plan.ensemble.kind != "gaussian":
-        raise ValueError("the U-statistic ball is only supported for isotropic designs")
-    stat = ustat_statistic(batch, center)
-    n, d = batch.n, batch.dim
-    constants = dict(constants or {})
-    if mode == "theory":
-        radius_sq = ustat_radius_sq(stat, n, d,
-                                    float(constants.get("c1", 1.0)),
-                                    float(constants.get("c2", 1.0)))
-    elif mode == "simulation":
-        radius_sq = ustat_calibrated_radius(stat, n, d) ** 2
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return ConfidenceReport(
-        center=check_hermitian(center), radius_sq=radius_sq, norm_kind="frobenius",
-        level_alpha=alpha, method="UStat", statistic_value=stat, n=n, d=d,
-    )
-
-
 # --- re-averaged full-basis statistic -------------------------------------------
 
 def _grouped_coefficient_sums(batch: MeasurementBatch):
@@ -351,18 +284,6 @@ def reavg_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float) -> 
     return _largest_root_sqrt_quadratic(a, b)
 
 
-def reavg_confidence_set(batch: MeasurementBatch, center, sigma: float,
-                         alpha: float) -> ConfidenceReport:
-    """Frobenius ball from the re-averaged statistic."""
-    stat = reavg_statistic(batch, center, sigma)
-    n, d = batch.n, batch.dim
-    radius_sq = reavg_radius_sq(stat, n, d, sigma, alpha)
-    return ConfidenceReport(
-        center=check_hermitian(center), radius_sq=radius_sq, norm_kind="frobenius",
-        level_alpha=alpha, method="ReAvg", statistic_value=stat, n=n, d=d,
-    )
-
-
 # --- paired residuals (variance-free) -------------------------------------------
 
 def paired_rss_statistic(batch: MeasurementBatch, center) -> float:
@@ -385,3 +306,61 @@ def paired_rss_statistic(batch: MeasurementBatch, center) -> float:
     center = check_hermitian(center)
     resid = batch.y - apply_sampling(batch.plan, center)
     return 2.0 * float(np.dot(resid[:half], resid[half:])) / n
+
+
+# --- the ball: one dispatch over method and regime ------------------------------
+
+def frobenius_ball(method: str, batch: MeasurementBatch, center, alpha: float,
+                   regime: str) -> ConfidenceReport:
+    """Frobenius ball around ``center`` at level ``alpha`` from the statistic
+    ``method`` under the constants ``regime`` ("theory" or "simulation").
+
+    The noise level is ``noise_scale(batch)``; under Bernoulli noise it is
+    only the bound sqrt(d/T), so RSS and ReAvg drop their centering and the
+    theory RSS radius takes the Chebyshev constants.  Theory UStat takes
+    c1 = c2 = sqrt(1/alpha) (unit Frobenius bound on the target), theory RSS
+    and PairedRSS the Pauli deviation constant on Pauli designs.
+    """
+    if regime not in ("theory", "simulation"):
+        raise ValueError(f"unknown constants regime {regime!r}")
+    center = check_hermitian(center)
+    ensemble = batch.plan.ensemble
+    n, d = batch.n, batch.dim
+    sigma = noise_scale(batch)
+    bernoulli = isinstance(batch.noise, BernoulliPauliNoise)
+    stat_sigma = 0.0 if bernoulli else sigma
+    # the statistics are looked up by name at call time, so that rebinding a
+    # module attribute (as a profiler does) reaches this dispatch too
+    if method == "RSS":
+        stat = rss_statistic(batch, center, stat_sigma)
+    elif method == "UStat":
+        if ensemble.kind != "gaussian":
+            raise ValueError("the U-statistic ball is only supported for isotropic designs")
+        stat = ustat_statistic(batch, center)
+    elif method == "ReAvg":
+        stat = reavg_statistic(batch, center, stat_sigma)
+    elif method == "PairedRSS":
+        stat = paired_rss_statistic(batch, center)
+    else:
+        raise ValueError(f"unknown Frobenius ball {method!r}")
+
+    if regime == "simulation":
+        s = max(stat, 0.0)
+        kind = "ustat" if method == "UStat" else "rss"
+        # squared from the radius, the quantity the certificate compares
+        radius_sq = math.sqrt(calibrated_bound(kind, s, math.sqrt(s), n, d)) ** 2
+    elif method == "ReAvg":
+        radius_sq = reavg_radius_sq(stat, n, d, sigma, alpha)
+    elif method == "UStat":
+        zeta = math.sqrt(1.0 / alpha)
+        radius_sq = ustat_radius_sq(stat, n, d, zeta, zeta)
+    else:
+        z = 0.0
+        if ensemble.kind == "pauli":
+            z = pauli_deviation_constant(alpha, ensemble.coherence)
+        radius_sq = rss_radius_sq(stat, n, d, sigma, alpha, z=z,
+                                  error_model="bernoulli" if bernoulli else "gaussian")
+    return ConfidenceReport(
+        center=center, radius_sq=radius_sq, norm_kind="frobenius", level_alpha=alpha,
+        method=method, statistic_value=stat, n=n, d=d,
+    )

@@ -82,6 +82,32 @@ class TestRunCertificate:
         # two disjoint halves per epoch, each of size 2^m
         assert calls == [h for m in range(1, len(cert.epochs) + 1) for h in (2**m, 2**m)]
 
+    @pytest.mark.parametrize("answer", [
+        lambda plan: lq.draw_plan(plan.ensemble, plan.n, 99),
+        lambda plan: lq.draw_plan(plan.ensemble, plan.n + 1, 99),
+        lambda plan: lq.draw_plan(lq.gaussian_design(4, hermitian=True), plan.n, 99),
+    ], ids=["indices", "size", "ensemble"])
+    def test_live_oracle_rejects_another_plan(self, answer):
+        state = lq.random_rank_k_state(4, 1, np.random.default_rng(5))
+
+        def oracle(plan):
+            return lq.measure_gaussian(answer(plan), state, 0.05, 17)
+
+        # three epochs stay below d^2, where no statistic checks the plan itself
+        with pytest.raises(ValueError, match="different plan"):
+            lq.run_certificate(oracle, _pauli_cfg(t_max=3), 23)
+
+    @pytest.mark.parametrize("measure", [
+        lambda plan, state: lq.measure_gaussian(plan, state, 0.2, 17),
+        lambda plan, state: lq.measure_bernoulli_pauli(plan, state, 64, 17),
+    ], ids=["sigma", "bernoulli"])
+    def test_live_oracle_rejects_another_noise(self, measure):
+        # the ball reads the noise level from the batch, so it must be the
+        # configured one
+        state = lq.random_rank_k_state(4, 1, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="noise"):
+            lq.run_certificate(lambda plan: measure(plan, state), _pauli_cfg(), 23)
+
     def test_bernoulli_large_budget_drops_centering(self, rng):
         cfg = _pauli_cfg(noise=lq.BernoulliPauliNoise(4096))
         state = lq.random_rank_k_state(4, 1, rng)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lowrank_uq as lq
 
@@ -91,20 +93,9 @@ class TestRssConfidenceSet:
         center = np.eye(4) / 4
         plan = lq.draw_plan(lq.gaussian_design(4, hermitian=True), 50, 1)
         batch = lq.measure_gaussian(plan, rho, 0.0, rng)
-        for mode in ("shape_constrained", "implicit_solve"):
-            rep = lq.rss_confidence_set(batch, center, 0.0, 0.05, mode=mode, z=0.0)
-            assert rep.radius_sq == pytest.approx(2 * rep.statistic_value, rel=1e-12)
-            assert rep.statistic_value > 0
-
-    def test_modes_agree_when_max_at_dimension_term(self):
-        # negative statistic pushes the implicit solution into the regime where
-        # the deviation term is independent of the candidate distance
-        n, d, sigma, alpha, z = 100, 2, 0.5, 0.3, 1000.0
-        stat = -15.0
-        shape = lq.rss_radius_sq(stat, n, d, sigma, alpha, mode="shape_constrained", z=z)
-        implicit = lq.rss_radius_sq(stat, n, d, sigma, alpha, mode="implicit_solve", z=z)
-        assert 4 * z * d / n >= 12.0  # the shape-constrained max is at 4zd/n too
-        assert shape == pytest.approx(implicit, rel=1e-12)
+        rep = lq.frobenius_ball("RSS", batch, center, 0.05, "theory")
+        assert rep.radius_sq == pytest.approx(2 * rep.statistic_value, rel=1e-12)
+        assert rep.statistic_value > 0
 
     def test_implicit_solution_is_fixed_point(self, rng):
         for _ in range(50):
@@ -114,7 +105,7 @@ class TestRssConfidenceSet:
             sigma = float(rng.uniform(0.05, 1.5))
             alpha = float(rng.uniform(0.01, 0.5))
             z = float(rng.choice([0.0, 1.0, 30.0]))
-            x = lq.rss_radius_sq(stat, n, d, sigma, alpha, mode="implicit_solve", z=z)
+            x = lq.rss_radius_sq(stat, n, d, sigma, alpha, z=z)
             xi = lq.chi_square_deviation_quantile(alpha / 3, sigma, n)
             zlog = lq.log_tail_constant(alpha / 3)
 
@@ -129,39 +120,128 @@ class TestRssConfidenceSet:
                 assert rhs(probe) < probe
 
     def test_bernoulli_variant_uses_chebyshev_constants(self):
-        stat, n, d, alpha = 0.2, 64, 4, 0.1
+        stat, n, d, alpha, z = 0.2, 64, 4, 0.1, 5.0
         sigma_bound = math.sqrt(d / 256)
-        x = lq.rss_radius_sq(stat, n, d, sigma_bound, alpha, mode="shape_constrained",
-                             z=5.0, error_model="bernoulli")
-        xi = math.sqrt(3 / alpha)
-        zbar = sigma_bound * math.sqrt(math.sqrt(3 / alpha) * max(12.0, 4 * 5.0 * d / n))
-        expect = 2 * (stat + 5.0 * d / n + (xi + zbar) / math.sqrt(n))
-        assert x == pytest.approx(expect, rel=1e-12)
+        x = lq.rss_radius_sq(stat, n, d, sigma_bound, alpha, z=z, error_model="bernoulli")
+        # both the chi-square and the log quantile become sqrt(3 / alpha)
+        cheb = math.sqrt(3 / alpha)
+        zbar = sigma_bound * math.sqrt(cheb * max(3 * x, 4 * z * d / n))
+        assert x == pytest.approx(2 * (stat + z * d / n + (cheb + zbar) / math.sqrt(n)),
+                                  rel=1e-12)
+        assert x > lq.rss_radius_sq(stat, n, d, sigma_bound, alpha, z=z)
 
     def test_radius_clamped_at_zero(self):
-        x = lq.rss_radius_sq(-50.0, 100, 2, 0.1, 0.05, mode="implicit_solve", z=0.0)
+        x = lq.rss_radius_sq(-50.0, 100, 2, 0.1, 0.05, z=0.0)
         assert x == 0.0
+
+
+def _calibrated_radius(kind, stat, n, d=None):
+    s = max(stat, 0.0)
+    return math.sqrt(lq.calibrated_bound(kind, s, math.sqrt(s), n, d))
+
+
+def _exact_batch(sigma, n=100):
+    """Noiseless outcomes at the state, declared under noise level ``sigma``:
+    the RSS statistic at the state is exactly -sigma^2."""
+    rho = lq.random_rank_k_state(2, 1, np.random.default_rng(8))
+    plan = lq.draw_plan(lq.pauli_design(1), n, 0)
+    clean = lq.measure_gaussian(plan, rho, 0.0, 0)
+    return lq.MeasurementBatch(plan, clean.y, lq.GaussianNoise(sigma)), rho
 
 
 class TestCalibratedRadii:
     def test_rss_value_at_zero_statistic(self):
-        assert lq.rss_calibrated_radius(0.0, 100) == pytest.approx(math.sqrt(0.1))
+        batch, rho = _exact_batch(0.0)
+        rep = lq.frobenius_ball("RSS", batch, rho, 0.05, "simulation")
+        assert rep.statistic_value == 0.0
+        assert rep.radius_sq == pytest.approx(0.1)
 
     def test_negative_statistic_clamped(self):
-        assert lq.rss_calibrated_radius(-2.0, 100) == lq.rss_calibrated_radius(0.0, 100)
+        batch, rho = _exact_batch(1.0)
+        rep = lq.frobenius_ball("RSS", batch, rho, 0.05, "simulation")
+        assert rep.statistic_value == pytest.approx(-1.0)
+        assert rep.radius_sq == pytest.approx(0.1)
 
     def test_monotone_in_statistic_and_sample_size(self):
         stats = np.linspace(-1, 4, 40)
         for radius in (
-            lambda s, n: lq.rss_calibrated_radius(s, n),
-            lambda s, n: lq.ustat_calibrated_radius(s, n, 32),
-            lambda s, n: lq.rss_radius_sq(s, n, 8, 0.4, 0.05, mode="implicit_solve", z=3.0),
-            lambda s, n: lq.rss_radius_sq(s, n, 8, 0.4, 0.05, mode="shape_constrained", z=3.0),
+            lambda s, n: _calibrated_radius("rss", s, n),
+            lambda s, n: _calibrated_radius("ustat", s, n, 32),
+            lambda s, n: lq.rss_radius_sq(s, n, 8, 0.4, 0.05, z=3.0),
             lambda s, n: lq.reavg_radius_sq(s, n, 8, 0.4, 0.05),
         ):
             vals = [radius(s, 200) for s in stats]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
             assert radius(1.0, 100) >= radius(1.0, 400) - 1e-12
+
+
+def _ball_batch(method, design, noise):
+    rng = np.random.default_rng(12)
+    state = lq.random_rank_k_state(4, 1, rng)
+    ens = lq.pauli_design(2) if design == "pauli" else lq.gaussian_design(4, hermitian=True)
+    if method == "ReAvg":
+        plan = lq.full_basis_plan(ens, 2)
+    elif method == "PairedRSS":
+        plan = lq.draw_paired_plan(ens, 40, rng)
+    else:
+        plan = lq.draw_plan(ens, 40, rng)
+    if noise == "gaussian":
+        return lq.measure_gaussian(plan, state, 0.2, rng)
+    return lq.measure_bernoulli_pauli(plan, state, 64, rng)
+
+
+class TestFrobeniusBall:
+    @pytest.mark.parametrize("regime", ["theory", "simulation"])
+    @pytest.mark.parametrize("method,design,noise", [
+        ("RSS", "gaussian", "gaussian"),
+        ("RSS", "pauli", "gaussian"),
+        ("RSS", "pauli", "bernoulli"),
+        ("UStat", "gaussian", "gaussian"),
+        ("ReAvg", "pauli", "gaussian"),
+        ("ReAvg", "pauli", "bernoulli"),
+        ("PairedRSS", "gaussian", "gaussian"),
+        ("PairedRSS", "pauli", "bernoulli"),
+    ])
+    def test_matches_closed_form(self, method, design, noise, regime):
+        batch = _ball_batch(method, design, noise)
+        center = np.eye(4) / 4
+        n, d, alpha = batch.n, 4, 0.01
+        # Bernoulli noise: the variance is only bounded by d/T, so the
+        # statistics drop their centering and the radius takes the bound
+        sigma = 0.2 if noise == "gaussian" else math.sqrt(d / 64)
+        stat_sigma = 0.2 if noise == "gaussian" else 0.0
+        stat = {
+            "RSS": lambda: lq.rss_statistic(batch, center, stat_sigma),
+            "UStat": lambda: lq.ustat_statistic(batch, center),
+            "ReAvg": lambda: lq.reavg_statistic(batch, center, stat_sigma),
+            "PairedRSS": lambda: lq.paired_rss_statistic(batch, center),
+        }[method]()
+        if regime == "simulation":
+            expect = _calibrated_radius("ustat" if method == "UStat" else "rss", stat, n, d) ** 2
+        elif method == "ReAvg":
+            expect = lq.reavg_radius_sq(stat, n, d, sigma, alpha)
+        elif method == "UStat":
+            c = math.sqrt(1 / alpha)
+            expect = lq.ustat_radius_sq(stat, n, d, c, c)
+        else:
+            z = lq.pauli_deviation_constant(alpha) if design == "pauli" else 0.0
+            expect = lq.rss_radius_sq(stat, n, d, sigma, alpha, z=z, error_model=noise)
+
+        rep = lq.frobenius_ball(method, batch, center, alpha, regime)
+        assert rep.statistic_value == pytest.approx(stat, rel=1e-12)
+        assert rep.radius_sq == pytest.approx(expect, rel=1e-12)
+        assert (rep.method, rep.norm_kind, rep.level_alpha, rep.n, rep.d) == (
+            method, "frobenius", alpha, n, d)
+        np.testing.assert_array_equal(rep.center, center)
+
+    @pytest.mark.parametrize("method,regime,match", [
+        ("NuclearS1", "theory", "unknown Frobenius ball"),
+        ("RSS", "calibrated", "unknown constants regime"),
+    ])
+    def test_rejects_unknown_method_or_regime(self, method, regime, match):
+        batch = _ball_batch("RSS", "pauli", "gaussian")
+        with pytest.raises(ValueError, match=match):
+            lq.frobenius_ball(method, batch, np.eye(4) / 4, 0.05, regime)
 
 
 class TestUstatStatistic:
@@ -181,6 +261,29 @@ class TestUstatStatistic:
         a = lq.ustat_statistic(batch, center)
         assert a == pytest.approx(naive_ustat_entrywise(batch, center), rel=1e-10)
         assert a == pytest.approx(naive_ustat(batch, center), rel=1e-10)
+
+    @pytest.mark.parametrize("design", ["real", "hermitian", "pauli"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=2, max_value=20),
+           size=st.integers(min_value=1, max_value=3))
+    def test_pair_sum_identity_property(self, design, seed, n, size):
+        # ||sum a_i||^2 - sum ||a_i||^2 equals the literal double sum over pairs
+        g = np.random.default_rng(seed)
+        d = 2**size
+        if design == "pauli":
+            plan = lq.draw_plan(lq.pauli_design(size), n, g)
+            mats = d * lq.pauli_basis(size)[plan.indices]
+        else:
+            plan = lq.draw_plan(lq.gaussian_design(d, hermitian=(design == "hermitian")), n, g)
+            mats = plan.matrices
+        center = random_hermitian(d, g, real=(design == "real"))
+        y = g.standard_normal(n)
+        batch = lq.MeasurementBatch(plan, y, lq.GaussianNoise(1.0))
+        a = y[:, None, None] * mats - center
+        scale = float(np.sum(np.abs(a) ** 2)) / n  # bounds |statistic|
+        assert abs(lq.ustat_statistic(batch, center) - naive_ustat(batch, center)) <= (
+            1e-12 * scale)
 
     def test_zero_data_zero_center(self):
         plan = lq.draw_plan(lq.gaussian_design(2), 6, 0)
@@ -208,40 +311,37 @@ class TestUstatStatistic:
 
 
 class TestUstatConfidenceSet:
-    def test_no_implicit_term(self, rng):
-        plan = lq.draw_plan(lq.gaussian_design(4), 20, 1)
-        state = random_hermitian(4, rng, real=True, scale=0.4)
-        batch = lq.measure_gaussian(plan, state, 0.3, rng)
-        rep = lq.ustat_confidence_set(batch, np.zeros((4, 4)), 0.05,
-                                      constants={"c1": 0.0, "c2": 2.0}, mode="theory")
-        expect = max(rep.statistic_value, 0.0) + 2.0 * 4 / 20
-        assert rep.radius_sq == pytest.approx(expect, rel=1e-12)
+    def test_no_implicit_term(self):
+        stat = 0.3
+        assert lq.ustat_radius_sq(stat, 20, 4, 0.0, 2.0) == pytest.approx(
+            stat + 2.0 * 4 / 20, rel=1e-12)
+        assert lq.ustat_radius_sq(-stat, 20, 4, 0.0, 2.0) == pytest.approx(2.0 * 4 / 20)
 
     def test_theory_root_is_fixed_point(self, rng):
         plan = lq.draw_plan(lq.gaussian_design(4), 25, 2)
         state = random_hermitian(4, rng, real=True, scale=0.4)
         batch = lq.measure_gaussian(plan, state, 0.3, rng)
-        c1, c2 = 1.7, 2.3
-        rep = lq.ustat_confidence_set(batch, np.zeros((4, 4)), 0.05,
-                                      constants={"c1": c1, "c2": c2}, mode="theory")
+        alpha = 0.05
+        rep = lq.frobenius_ball("UStat", batch, np.zeros((4, 4)), alpha, "theory")
         x = rep.radius_sq
-        base = max(rep.statistic_value, 0.0) + c2 * 4 / 25
-        assert x == pytest.approx(base + c1 * math.sqrt(x) / math.sqrt(25), rel=1e-10)
+        c = math.sqrt(1 / alpha)  # Chebyshev level for both constants
+        base = max(rep.statistic_value, 0.0) + c * 4 / 25
+        assert x == pytest.approx(base + c * math.sqrt(x) / math.sqrt(25), rel=1e-10)
 
     def test_simulation_mode_matches_calibrated_radius(self, rng):
         plan = lq.draw_plan(lq.gaussian_design(4), 25, 2)
         state = random_hermitian(4, rng, real=True, scale=0.4)
         batch = lq.measure_gaussian(plan, state, 0.3, rng)
-        rep = lq.ustat_confidence_set(batch, np.zeros((4, 4)), 0.05, mode="simulation")
+        rep = lq.frobenius_ball("UStat", batch, np.zeros((4, 4)), 0.05, "simulation")
         assert rep.radius_sq == pytest.approx(
-            lq.ustat_calibrated_radius(rep.statistic_value, 25, 4) ** 2, rel=1e-12
+            _calibrated_radius("ustat", rep.statistic_value, 25, 4) ** 2, rel=1e-12
         )
 
     def test_rejects_pauli_design(self, rng):
         plan = lq.draw_plan(lq.pauli_design(2), 10, 0)
         batch = lq.measure_gaussian(plan, np.eye(4) / 4, 0.1, rng)
         with pytest.raises(ValueError, match="isotropic"):
-            lq.ustat_confidence_set(batch, np.zeros((4, 4)), 0.05)
+            lq.frobenius_ball("UStat", batch, np.zeros((4, 4)), 0.05, "theory")
 
 
 class TestReavgStatistic:
@@ -250,7 +350,7 @@ class TestReavgStatistic:
         plan = lq.full_basis_plan(lq.pauli_design(1), 3)
         batch = lq.measure_gaussian(plan, rho, 0.0, rng)
         assert lq.reavg_statistic(batch, rho, 0.0) == pytest.approx(0.0, abs=1e-12)
-        rep = lq.reavg_confidence_set(batch, rho, 0.0, 0.05)
+        rep = lq.frobenius_ball("ReAvg", batch, rho, 0.05, "theory")
         assert rep.radius_sq == pytest.approx(0.0, abs=1e-12)
 
     def test_multiplicity_one_equals_direct_expansion(self, rng):

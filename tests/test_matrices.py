@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lowrank_uq as lq
@@ -146,6 +148,16 @@ class TestStateSpaceProjection:
         a = random_hermitian(2, rng, scale=2.0)
         once = lq.project_state_space(a)
         assert lq.frobenius_norm(lq.project_state_space(once) - once) <= 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           d=st.integers(min_value=1, max_value=16),
+           scale=st.floats(min_value=1e-3, max_value=1e3),
+           real=st.booleans())
+    def test_idempotent_property(self, seed, d, scale, real):
+        a = random_hermitian(d, np.random.default_rng(seed), real=real, scale=scale)
+        once = lq.check_quantum_state(lq.project_state_space(a))
+        assert lq.frobenius_norm(lq.project_state_space(once) - once) <= 1e-12
 
     def test_nonexpansive_toward_states(self, rng):
         for d in (2, 4):
