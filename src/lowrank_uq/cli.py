@@ -56,22 +56,22 @@ def _cmd_simulate(args) -> int:
     n_grid = tuple(int(v) for v in _split_list(cfg.get("n_grid", "100,200,500")))
     reps = int(cfg.get("reps", "1000"))
     d = int(cfg.get("d", "32"))
+    # every spec is checked before anything is written
+    specs = [
+        ExperimentSpec(design=design, error_kind=kind, error_norm_sq=norm_sq,
+                       n_grid=n_grid, reps=reps, d=d, seed=seed)
+        for design in designs for kind in error_kinds for norm_sq in norms
+    ]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     merged = []
-    for design in designs:
-        for kind in error_kinds:
-            for norm_sq in norms:
-                spec = ExperimentSpec(
-                    design=design, error_kind=kind, error_norm_sq=norm_sq,
-                    n_grid=n_grid, reps=reps, d=d, seed=seed,
-                )
-                rows = run_experiment(spec)
-                name = f"results_{design}_{kind}_R{norm_sq:g}.csv"
-                (outdir / name).write_text(result_rows_csv(rows))
-                print(f"wrote {outdir / name}")
-                merged.extend(merged_table_rows(spec, rows))
+    for spec in specs:
+        rows = run_experiment(spec)
+        name = f"results_{spec.design}_{spec.error_kind}_R{spec.error_norm_sq:g}.csv"
+        (outdir / name).write_text(result_rows_csv(rows))
+        print(f"wrote {outdir / name}")
+        merged.extend(merged_table_rows(spec, rows))
     header = "design,eta,R,row," + ",".join(f"n{n}" for n in n_grid)
     lines = [header]
     for design, kind, norm_sq, label, cells in merged:

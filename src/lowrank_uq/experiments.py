@@ -6,6 +6,23 @@ where eta plays the role of the estimation error theta - thetahat of norm
 are computed with center 0, and the confidence balls use the calibrated
 constants of ``DEFAULT_SIMULATION_CONSTANTS`` (95% level).
 
+Both Gaussian ensembles (real for one-entry errors, Hermitian for Pauli-word
+errors) are standard Gaussian on a real space of dimension D = d^2, so a
+replication depends on eta only through r^2 = ||eta||_F^2, and none draws a
+design.  Rotate coordinates so that eta = r e_1: then y_i = r g_i + eps_i
+with g_i, eps_i i.i.d. N(0, 1).  The observations alone, i.i.d. N(0, 1 + r^2),
+give the residual statistic.  For the pair statistic,
+
+    n(n-1) U = (sum_i y_i g_i)^2 - sum_i y_i^2 g_i^2 + A,
+    A = ||S_n||^2 - sum_i y_i^2 ||z_i||^2,   S_m = sum_{i<=m} y_i z_i,
+
+with z_i i.i.d. standard normal in R^(D-1).  A telescopes to
+2 sum_m y_m <S_{m-1}, z_m>, and by isotropy ||S_m|| is a scalar Markov chain:
+<S_{m-1}, z_m> = ||S_{m-1}|| h_m and ||S_m||^2 = (||S_{m-1}|| + y_m h_m)^2 +
+y_m^2 c_m with h_m ~ N(0, 1) and c_m ~ chi^2_(D-2) independent (c_m = 0 for
+D = 2; A = 0 for D = 1).  This is exact in distribution and costs O(n) with
+4n scalar draws.  Pauli-design replications materialize their plan.
+
 Membership in the balls is the defining inequality with the unknown distance
 evaluated at the truth, ||eta||_F; the reported diameter replaces it by the
 data-driven sqrt(max(stat, 0)).  Every replication derives its own seed from
@@ -24,14 +41,7 @@ import numpy as np
 
 from .frobenius_sets import calibrated_bound, rss_statistic, ustat_statistic
 from .measurement import measure_gaussian
-from .sensing import (
-    _num_qubits,
-    gaussian_design,
-    index_to_word,
-    pauli_basis_element,
-    pauli_design,
-    draw_plan,
-)
+from .sensing import _num_qubits, draw_plan, index_to_word, pauli_basis_element, pauli_design
 
 __all__ = [
     "ExperimentSpec",
@@ -67,8 +77,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown error kind {self.error_kind!r}")
         if self.reps < 1:
             raise ValueError("need at least one replication")
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ValueError("n_grid must be sorted ascending")
+        n_grid = list(self.n_grid)
+        if not n_grid or n_grid[0] < 2:
+            raise ValueError(f"n_grid {self.n_grid} must be nonempty with entries >= 2 "
+                             "(the pair statistic needs two draws)")
+        if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+            raise ValueError(f"n_grid {self.n_grid} must be strictly increasing")
         if self.error_norm_sq <= 0:
             raise ValueError("error_norm_sq must be positive")
         if "pauli" in (self.design, self.error_kind):
@@ -122,25 +136,45 @@ def _replication_seed(spec: ExperimentSpec, method: str, n: int, rep: int):
     )
 
 
-def _ensemble(spec: ExperimentSpec):
-    if spec.design == "pauli":
-        return pauli_design(_num_qubits(spec.d))
-    # complex-valued error matrices need the Hermitian Gaussian variant
-    return gaussian_design(spec.d, hermitian=spec.error_kind == "pauli")
+def _orthogonal_pair_sum(y, h, c) -> float:
+    """A = sum_{i != j} y_i y_j <z_i, z_j> from the chain of ||S_m|| (module
+    docstring): h_m is the component of z_m along S_{m-1} (any direction when
+    S_{m-1} = 0) and c_m the squared norm of the rest of z_m."""
+    cross = 0.0
+    norm = 0.0
+    for ym, hm, cm in zip(y.tolist(), h.tolist(), c.tolist()):
+        cross += ym * norm * hm
+        norm = math.sqrt((norm + ym * hm) ** 2 + ym * ym * cm)
+    return 2.0 * cross
+
+
+def _isotropic_ustat(error_norm_sq: float, dim_sq: int, n: int, gen) -> float:
+    """Pair statistic at center 0 of n isotropic Gaussian draws, sampled
+    exactly in O(n) (module docstring)."""
+    g = gen.standard_normal(n)
+    y = math.sqrt(error_norm_sq) * g + gen.standard_normal(n)
+    yg = y * g
+    pair_sum = float(np.sum(yg)) ** 2 - float(yg @ yg)
+    if dim_sq > 1:
+        h = gen.standard_normal(n)
+        c = gen.chisquare(dim_sq - 2, n) if dim_sq > 2 else np.zeros(n)
+        pair_sum += _orthogonal_pair_sum(y, h, c)
+    return pair_sum / (n * (n - 1))
 
 
 def replication_statistic(spec: ExperimentSpec, method: str, n: int, rep: int) -> float:
-    """One replication: fresh error matrix, plan and noise; statistic at center 0."""
+    """One replication, statistic at center 0: Gaussian designs from scalar
+    draws (module docstring), Pauli designs from a fresh error matrix, plan
+    and noise."""
     gen = np.random.default_rng(_replication_seed(spec, method, n, rep))
     if spec.design == "gaussian" and method == "RSS":
-        # Exact shortcut: conditional on the error matrix, the clean traces of
-        # both Gaussian ensembles are i.i.d. N(0, ||eta||_F^2), so the
-        # observations are i.i.d. N(0, 1 + error_norm_sq) and the residual
-        # statistic never needs the design draws materialized.
+        # the observations are i.i.d. N(0, 1 + error_norm_sq)
         ybar = math.sqrt(1.0 + spec.error_norm_sq) * gen.standard_normal(n)
         return float(np.mean(ybar**2)) - 1.0
+    if spec.design == "gaussian" and method == "UStat":
+        return _isotropic_ustat(spec.error_norm_sq, spec.d**2, n, gen)
     eta = make_error_matrix(spec.error_kind, spec.error_norm_sq, spec.d, gen)
-    plan = draw_plan(_ensemble(spec), n, gen)
+    plan = draw_plan(pauli_design(_num_qubits(spec.d)), n, gen)
     batch = measure_gaussian(plan, eta, 1.0, gen)
     center = np.zeros((spec.d, spec.d), dtype=complex)
     if method == "UStat":

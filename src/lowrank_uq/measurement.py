@@ -38,18 +38,13 @@ _batch_counter = itertools.count()
 
 @dataclass(frozen=True)
 class GaussianNoise:
-    """i.i.d. N(0, sigma^2) errors with sigma^2 <= variance_bound known."""
+    """i.i.d. N(0, sigma^2) errors with sigma known."""
 
     sigma: float
-    variance_bound: float | None = None
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        bound = self.sigma**2 if self.variance_bound is None else self.variance_bound
-        if self.sigma**2 > bound * (1 + 1e-12) + 1e-300:
-            raise ValueError("sigma^2 exceeds the declared variance bound")
-        object.__setattr__(self, "variance_bound", bound)
 
     def descriptor(self) -> str:
         return f"gaussian:{self.sigma:.17g}"

@@ -56,6 +56,15 @@ class TestSimulateCommand:
         cfg.write_text("design : pauli\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    def test_n_grid_below_two_rejected(self, tmp_path, capsys):
+        # n = 1 used to fail inside the pair statistic, after the output
+        # directory was made
+        cfg = _write_config(tmp_path, SIM_CONFIG.replace("n_grid = 20,40", "n_grid = 1,20"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "n_grid" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, name", [
         ("n_gird = 20,40", "'n_gird'"),
         ("constants = theory", "'constants'"),

@@ -2,9 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 import lowrank_uq as lq
-from lowrank_uq.experiments import replication_statistic, _replication_seed
+from lowrank_uq.experiments import _orthogonal_pair_sum, _replication_seed, replication_statistic
+
+
+def _materialized_ustat(error_kind, r_sq, d, n, gen):
+    """Oracle: one Gaussian-design replication with its plan drawn in full."""
+    eta = lq.make_error_matrix(error_kind, r_sq, d, gen)
+    plan = lq.draw_plan(lq.gaussian_design(d, hermitian=error_kind == "pauli"), n, gen)
+    batch = lq.measure_gaussian(plan, eta, 1.0, gen)
+    return lq.ustat_statistic(batch, np.zeros((d, d), dtype=complex))
 
 
 class TestErrorMatrix:
@@ -57,16 +68,51 @@ class TestReplicationStatistics:
                 )
                 assert got == want
 
-    def test_gaussian_ustat_path_matches_library(self):
-        spec = lq.ExperimentSpec(design="gaussian", error_kind="pauli", error_norm_sq=0.5,
-                                 n_grid=(30,), reps=2, d=4, seed=9)
-        for rep in range(2):
-            got = replication_statistic(spec, "UStat", 30, rep)
-            gen = np.random.default_rng(_replication_seed(spec, "UStat", 30, rep))
-            eta = lq.make_error_matrix("pauli", 0.5, 4, gen)
-            plan = lq.draw_plan(lq.gaussian_design(4, hermitian=True), 30, gen)
-            batch = lq.measure_gaussian(plan, eta, 1.0, gen)
-            assert got == lq.ustat_statistic(batch, np.zeros((4, 4), dtype=complex))
+    @pytest.mark.parametrize("error_kind,d,n,r_sq,reps", [
+        ("dirac", 1, 5, 0.5, 3000),  # D = 1: no orthogonal part
+        # d = 2, n = 4 is where a wrong chi^2 degree of freedom shows most
+        ("dirac", 2, 4, 0.1, 20000),
+        ("pauli", 2, 4, 0.1, 20000),
+        ("dirac", 4, 30, 1.0, 3000),
+        ("pauli", 4, 20, 0.5, 3000),
+        ("dirac", 8, 2, 2.0, 2000),
+        ("pauli", 8, 60, 0.2, 2000),
+    ])
+    def test_gaussian_ustat_matches_materialized_distribution(self, error_kind, d, n, r_sq,
+                                                              reps):
+        # the O(n) isotropic sampler against the materialized design path
+        # (two-sample Kolmogorov-Smirnov), real and Hermitian designs
+        spec = lq.ExperimentSpec(design="gaussian", error_kind=error_kind, error_norm_sq=r_sq,
+                                 n_grid=(n,), reps=reps, d=d, seed=9)
+        fast = [replication_statistic(spec, "UStat", n, rep) for rep in range(reps)]
+        gen = np.random.default_rng((555, d, n))
+        slow = [_materialized_ustat(error_kind, r_sq, d, n, gen) for _ in range(reps)]
+        assert stats.ks_2samp(fast, slow).pvalue > 1e-3
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=12),
+           dim=st.integers(min_value=1, max_value=6),
+           leading_zeros=st.integers(min_value=0, max_value=3))
+    def test_orthogonal_chain_identity_property(self, seed, n, dim, leading_zeros):
+        # fed the component h_m of z_m along S_{m-1} and the squared norm c_m
+        # of the rest, the chain reproduces ||sum y z||^2 - sum y^2 ||z||^2
+        # for explicit z's; leading zero y's keep S = 0 for several steps
+        g = np.random.default_rng(seed)
+        y = g.standard_normal(n)
+        y[:leading_zeros] = 0.0
+        z = g.standard_normal((n, dim))
+        h, c = np.empty(n), np.empty(n)
+        partial = np.zeros(dim)
+        for m in range(n):
+            norm = np.linalg.norm(partial)
+            h[m] = z[m, 0] if norm == 0 else partial @ z[m] / norm
+            c[m] = max(z[m] @ z[m] - h[m] ** 2, 0.0)
+            partial += y[m] * z[m]
+        total = float(partial @ partial)
+        diag = float(np.sum(y**2 * np.sum(z**2, axis=1)))
+        # relative to the size of the two terms whose difference it is
+        assert abs(_orthogonal_pair_sum(y, h, c) - (total - diag)) <= 1e-10 * (total + diag)
 
     def test_gaussian_rss_shortcut_distribution(self):
         # the direct observation sampler agrees in distribution with the
@@ -123,6 +169,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             lq.ExperimentSpec(design="foo", error_kind="dirac", error_norm_sq=0.1,
                               n_grid=(20,), reps=10, d=4, seed=1)
+
+    @pytest.mark.parametrize("n_grid", [(1, 20), (0,), (5, 5), ()])
+    def test_n_grid_must_increase_strictly_from_two(self, n_grid):
+        # n = 1 used to fail mid-run inside the pair statistic, n = 0 inside
+        # draw_plan, and (5, 5) returned duplicated cells
+        with pytest.raises(ValueError, match="n_grid"):
+            lq.ExperimentSpec(design="gaussian", error_kind="dirac", error_norm_sq=0.1,
+                              n_grid=n_grid, reps=10, d=4, seed=1)
 
     @pytest.mark.parametrize("design,error_kind", [("pauli", "dirac"), ("gaussian", "pauli")])
     def test_pauli_dimension_must_be_power_of_two(self, design, error_kind):

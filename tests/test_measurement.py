@@ -81,14 +81,6 @@ class TestBernoulliChannel:
 
 
 class TestNoiseModels:
-    def test_gaussian_variance_bound_default(self):
-        noise = lq.GaussianNoise(0.3)
-        assert noise.variance_bound == pytest.approx(0.09)
-
-    def test_gaussian_respects_declared_bound(self):
-        with pytest.raises(ValueError, match="variance bound"):
-            lq.GaussianNoise(1.0, variance_bound=0.5)
-
     def test_bernoulli_variance_bound(self):
         assert lq.BernoulliPauliNoise(16).variance_bound(4) == pytest.approx(0.25)
 
