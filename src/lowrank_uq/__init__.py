@@ -79,6 +79,7 @@ from .recovery import (
     PilotConfig,
     RateFunction,
     SolverDivergenceError,
+    SolverInfo,
     pilot_estimate,
     pilot_to_state,
     rank_reduce,

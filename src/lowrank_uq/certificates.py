@@ -82,6 +82,8 @@ class EpochRecord:
     statistic: float
     radius_sq: float
     diameter: float
+    pilot_iterations: int
+    pilot_converged: bool
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ class Certificate:
                     "alpha": e.alpha,
                     "statistic": e.statistic,
                     "diameter": e.diameter,
+                    "pilot_iterations": e.pilot_iterations,
+                    "pilot_converged": e.pilot_converged,
                 }
                 for e in self.epochs
             ],
@@ -162,7 +166,8 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
 
         pilot_plan = draw_plan(cfg.ensemble, n_half, gen)
         pilot_batch = acquire(pilot_plan)
-        theta_hat = pilot_to_state(pilot_estimate(pilot_batch, cfg.pilot))
+        pilot, solve = pilot_estimate(pilot_batch, cfg.pilot, return_info=True)
+        theta_hat = pilot_to_state(pilot)
 
         if isinstance(cfg.noise, BernoulliPauliNoise) and cfg.noise.shots < n_half:
             method = "PairedRSS"
@@ -188,7 +193,8 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
         width = radius if cfg.constants_regime == "simulation" else 2.0 * radius
         diameter = min(width, STATE_SPACE_DIAMETER)
         epochs.append(EpochRecord(m, 2 * n_half, n_half, method, alpha,
-                                  ball.statistic_value, ball.radius_sq, diameter))
+                                  ball.statistic_value, ball.radius_sq, diameter,
+                                  solve.iterations, solve.converged))
         if diameter <= cfg.epsilon:
             stopped = True
             break

@@ -166,6 +166,8 @@ def replication_statistic(spec: ExperimentSpec, method: str, n: int, rep: int) -
     """One replication, statistic at center 0: Gaussian designs from scalar
     draws (module docstring), Pauli designs from a fresh error matrix, plan
     and noise."""
+    if method not in _METHOD_CODE:
+        raise ValueError(f"unknown method {method!r}")
     gen = np.random.default_rng(_replication_seed(spec, method, n, rep))
     if spec.design == "gaussian" and method == "RSS":
         # the observations are i.i.d. N(0, 1 + error_norm_sq)
@@ -179,9 +181,7 @@ def replication_statistic(spec: ExperimentSpec, method: str, n: int, rep: int) -
     center = np.zeros((spec.d, spec.d), dtype=complex)
     if method == "UStat":
         return ustat_statistic(batch, center)
-    if method == "RSS":
-        return rss_statistic(batch, center, 1.0)
-    raise ValueError(f"unknown method {method!r}")
+    return rss_statistic(batch, center, 1.0)
 
 
 def _cell_statistics(spec: ExperimentSpec, method: str, n: int, reps) -> np.ndarray:

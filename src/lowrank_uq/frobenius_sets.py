@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .matrices import check_hermitian
 from .measurement import BernoulliPauliNoise, MeasurementBatch, noise_scale
@@ -82,7 +82,7 @@ def chi_square_deviation_quantile(alpha: float, sigma: float, n: int) -> float:
         raise ValueError("n must be >= 1")
     if sigma == 0:
         return 0.0
-    return sigma**2 * (stats.chi2.ppf(1.0 - alpha, df=n) - n) / math.sqrt(n)
+    return sigma**2 * (special.chdtri(n, alpha) - n) / math.sqrt(n)
 
 
 def bernoulli_deviation_quantile(alpha: float) -> float:
@@ -277,7 +277,7 @@ def reavg_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float) -> 
     """Squared radius of the re-averaged ball: largest x solving
     x = stat + z_{alpha/2} sigma sqrt(x)/sqrt(n) + xi_{alpha/2} d/n, with the
     chi-square quantile taken at d^2 degrees of freedom."""
-    z_norm = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    z_norm = float(special.ndtri(1.0 - alpha / 2.0))
     xi = chi_square_deviation_quantile(alpha / 2.0, sigma, d * d)
     a = z_norm * sigma / math.sqrt(n)
     b = stat + xi * d / n

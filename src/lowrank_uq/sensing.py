@@ -310,11 +310,16 @@ def adjoint_average(plan: SensingPlan, y) -> np.ndarray:
         m = (y @ plan.matrices.reshape(plan.n, -1)).reshape(d, d)
     else:
         w = np.bincount(plan.indices, weights=y, minlength=d * d)
-        nq = plan.ensemble.num_qubits
-        blocks = _BLOCKS[nq]
-        m = _butterfly(w, blocks, _ADJOINT).reshape(sum(((2**k, 2**k) for k in blocks), ()))
-        m = m.transpose(_DEINTERLEAVE[nq]).reshape(d, d)
+        m = _pauli_synthesis(w, plan.ensemble.num_qubits)
     return hermitize(m / plan.n)
+
+
+def _pauli_synthesis(weights: np.ndarray, num_qubits: int) -> np.ndarray:
+    """sum_j weights_j * d * E_j over all d^2 basis indices, not symmetrized:
+    the adjoint butterfly on per-index weights."""
+    blocks = _BLOCKS[num_qubits]
+    m = _butterfly(weights, blocks, _ADJOINT).reshape(sum(((2**k, 2**k) for k in blocks), ()))
+    return m.transpose(_DEINTERLEAVE[num_qubits]).reshape(2**num_qubits, 2**num_qubits)
 
 
 def rip_statistic(plan: SensingPlan, theta) -> float:

@@ -159,6 +159,9 @@ class TestRunCertificate:
         payload = json.loads(cert.to_json())
         assert payload["n_hat"] == cert.n_hat
         assert len(payload["epochs"]) == len(cert.epochs)
+        for record, e in zip(payload["epochs"], cert.epochs):
+            assert record["pilot_iterations"] == e.pilot_iterations >= 1
+            assert record["pilot_converged"] is e.pilot_converged
 
 
 class TestConfigValidation:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lowrank_uq as lq
+from lowrank_uq.calibration import coverage_curve
 from lowrank_uq.experiments import _orthogonal_pair_sum, _replication_seed, replication_statistic
 
 
@@ -67,6 +68,15 @@ class TestReplicationStatistics:
                     else lq.rss_statistic(batch, center, 1.0)
                 )
                 assert got == want
+
+    @pytest.mark.parametrize("design", ["gaussian", "pauli"])
+    def test_unknown_method_rejected(self, design):
+        spec = lq.ExperimentSpec(design=design, error_kind="dirac", error_norm_sq=1.0,
+                                 n_grid=(20,), reps=2, d=4, seed=0)
+        with pytest.raises(ValueError, match="'Foo'"):
+            replication_statistic(spec, "Foo", 20, 0)
+        with pytest.raises(ValueError, match="'Foo'"):
+            coverage_curve(spec, "Foo", (20,), [1.0])
 
     @pytest.mark.parametrize("error_kind,d,n,r_sq,reps", [
         ("dirac", 1, 5, 0.5, 3000),  # D = 1: no orthogonal part

@@ -35,6 +35,23 @@ class TestQuantiles:
         with pytest.raises(ValueError):
             lq.chi_square_deviation_quantile(1.2, 1.0, 5)
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9])
+    def test_quantiles_match_scipy_stats(self, alpha):
+        # the scipy.special quantiles against the scipy.stats distributions
+        from scipy import stats
+
+        for df in (1, 2, 3, 4, 7, 16, 64, 100, 256, 1024, 4096, 65536):
+            want = (stats.chi2.ppf(1 - alpha, df) - df) / math.sqrt(df)
+            got = lq.chi_square_deviation_quantile(alpha, 1.0, df)
+            assert got == pytest.approx(want, rel=1e-11)
+        # the re-averaged radius x = (a/2 + sqrt(a^2/4 + b))^2 carries the
+        # normal quantile in a = z_{alpha/2} sigma / sqrt(n)
+        stat, n, d, sigma = 0.3, 128, 4, 0.5
+        a = stats.norm.ppf(1 - alpha / 2) * sigma / math.sqrt(n)
+        b = stat + lq.chi_square_deviation_quantile(alpha / 2, sigma, d * d) * d / n
+        want = (a / 2 + math.sqrt(a * a / 4 + b)) ** 2
+        assert lq.reavg_radius_sq(stat, n, d, sigma, alpha) == pytest.approx(want, rel=1e-11)
+
     def test_bernoulli_quantile(self):
         assert lq.bernoulli_deviation_quantile(0.25) == pytest.approx(2.0)
 

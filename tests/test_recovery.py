@@ -1,10 +1,65 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lowrank_uq as lq
+from lowrank_uq.recovery import _least_squares
 
 from conftest import bloch_grid_state_projection, random_hermitian
+
+# Derandomized property tests: a run of the suite is reproducible, and the
+# seed feeds numpy.
+_PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _pauli_plan(kind, nq, n, g):
+    ensemble = lq.pauli_design(nq)
+    if kind == "random":
+        return lq.draw_plan(ensemble, n, g)
+    if kind == "paired":
+        return lq.draw_paired_plan(ensemble, 2 * n, g)
+    return lq.full_basis_plan(ensemble, 1 + n % 3)
+
+
+def _gaussian_batch(hermitian, d, n, g):
+    """Batch of a Gaussian plan at a random state (real for the real design,
+    whose measurements of a complex matrix are not real)."""
+    plan = lq.draw_plan(lq.gaussian_design(d, hermitian=hermitian), n, g)
+    if hermitian:
+        state = lq.random_rank_k_state(d, 1, g)
+    else:
+        v = g.standard_normal(d)
+        state = np.outer(v, v).astype(complex) / float(v @ v)
+    return lq.measure_gaussian(plan, state, 0.1, g)
+
+
+def _soft_threshold(a, tau):
+    lam, v = np.linalg.eigh(lq.hermitize(a))
+    lam = np.sign(lam) * np.maximum(np.abs(lam) - tau, 0.0)
+    return lq.hermitize((v * lam) @ v.conj().T)
+
+
+def _objective(batch, theta, lam):
+    resid = lq.apply_sampling(batch.plan, theta) - batch.y
+    return 0.5 * float(np.mean(resid**2)) + lam * lq.nuclear_norm(theta)
+
+
+def _proximal_gradient(batch, lam, step, tol=1e-13, max_iters=200_000):
+    """Reference: plain proximal gradient at a fixed step, run until the
+    move per step falls to ``tol``."""
+    d = batch.plan.dim
+    theta = np.zeros((d, d), dtype=complex)
+    for _ in range(max_iters):
+        grad = lq.adjoint_average(batch.plan, lq.apply_sampling(batch.plan, theta) - batch.y)
+        new = _soft_threshold(theta - step * grad, step * lam)
+        move = lq.frobenius_norm(new - theta)
+        theta = new
+        if move / step <= tol:
+            return theta
+    raise AssertionError("the reference did not converge")
 
 
 class TestPilotEstimate:
@@ -27,8 +82,24 @@ class TestPilotEstimate:
         plan = lq.draw_plan(lq.gaussian_design(4, hermitian=True), 60, 3)
         batch = lq.measure_gaussian(plan, rho, 0.2, rng)
         _, info = lq.pilot_estimate(batch, return_info=True)
-        obj = np.array(info["objective"])
+        obj = np.array(info.objective)
         assert np.all(np.diff(obj) <= 1e-12)
+
+    def test_solver_info(self, rng):
+        rho = lq.random_rank_k_state(4, 1, rng)
+        plan = lq.draw_plan(lq.pauli_design(2), 200, 5)
+        batch = lq.measure_gaussian(plan, rho, 0.1, rng)
+        _, info = lq.pilot_estimate(batch, return_info=True)
+        assert isinstance(info, lq.SolverInfo)
+        assert info.converged and info.criterion <= lq.PilotConfig().grad_tol
+        assert 1 <= info.iterations < lq.PilotConfig().max_iters
+        assert len(info.objective) <= info.iterations + 1
+        assert info.step == pytest.approx(1 / (1.1 * info.lipschitz))
+        assert info.lambda_ > 0 and info.restarts >= 0
+        # the cap is reported, not hidden
+        _, capped = lq.pilot_estimate(batch, lq.PilotConfig(max_iters=2), return_info=True)
+        assert capped.iterations == 2 and not capped.converged
+        assert capped.criterion > lq.PilotConfig().grad_tol
 
     def test_divergence_detector(self, rng):
         rho = lq.random_rank_k_state(4, 1, rng)
@@ -65,6 +136,75 @@ class TestPilotEstimate:
         measured_d = float(np.quantile(errs, 1 - 2 * 0.1 / 3) * n / (sigma**2 * d))
         print(f"rank-1 benchmark: frac within budget {frac:.3f}, measured D {measured_d:.2f}")
         assert frac >= 0.90
+
+
+class TestLeastSquaresSummary:
+    @pytest.mark.parametrize("nq", range(1, 6))
+    @pytest.mark.parametrize("kind", ["random", "paired", "full"])
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.integers(min_value=1, max_value=200))
+    def test_pauli_value_gradient_and_lipschitz(self, kind, nq, seed, n):
+        g = np.random.default_rng(seed)
+        plan = _pauli_plan(kind, nq, n, g)
+        batch = lq.MeasurementBatch(plan, g.standard_normal(plan.n), lq.GaussianNoise(1.0))
+        self._check_value_and_gradient(batch, random_hermitian(plan.dim, g))
+        counts = np.bincount(plan.indices, minlength=plan.dim**2)
+        assert _least_squares(batch).lipschitz == plan.dim**2 * counts.max() / plan.n
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.integers(min_value=1, max_value=60))
+    def test_gaussian_value_and_gradient(self, d, hermitian, seed, n):
+        g = np.random.default_rng(seed)
+        batch = _gaussian_batch(hermitian, d, n, g)
+        self._check_value_and_gradient(batch, random_hermitian(d, g, real=not hermitian))
+
+    @staticmethod
+    def _check_value_and_gradient(batch, theta):
+        ls = _least_squares(batch)
+        resid = lq.apply_sampling(batch.plan, theta) - batch.y
+        u = ls.coordinates(theta)
+        want = 0.5 * float(np.mean(resid**2))
+        assert abs(ls.value(u) - want) <= 1e-12 * want
+        grad = lq.adjoint_average(batch.plan, resid)
+        assert lq.frobenius_norm(ls.gradient(u) - grad) <= 1e-12 * lq.frobenius_norm(grad)
+
+
+class TestRestartedFista:
+    # On well-posed fixtures (n >= 4 d^2, and every Pauli index observed)
+    # the objective is strongly convex, so the restarted solver and a long
+    # plain proximal-gradient run reach the same minimizer.
+    _TIGHT = lq.PilotConfig(grad_tol=1e-11, max_iters=20_000)
+
+    def _check_against_reference(self, batch):
+        theta, info = lq.pilot_estimate(batch, self._TIGHT, return_info=True)
+        assert info.converged
+        ref = _proximal_gradient(batch, info.lambda_, info.step)
+        want = _objective(batch, ref, info.lambda_)
+        assert abs(_objective(batch, theta, info.lambda_) - want) <= 1e-10 * want
+        assert lq.frobenius_norm(theta - ref) <= 1e-6
+
+    @pytest.mark.parametrize("nq", [1, 2, 3])
+    @_PROPERTY
+    @given(seed=_SEEDS, extra=st.integers(min_value=0, max_value=200))
+    def test_pauli_matches_proximal_gradient(self, nq, seed, extra):
+        g = np.random.default_rng(seed)
+        ensemble = lq.pauli_design(nq)
+        d2 = ensemble.dim**2
+        random = lq.draw_plan(ensemble, 3 * d2 + extra, g).indices
+        plan = lq.SensingPlan(ensemble, 4 * d2 + extra,
+                              indices=np.concatenate([np.arange(d2), random]))
+        state = lq.random_rank_k_state(ensemble.dim, 1 + seed % 2, g)
+        self._check_against_reference(lq.measure_gaussian(plan, state, 0.1, g))
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("d", [2, 4])
+    @_PROPERTY
+    @given(seed=_SEEDS, extra=st.integers(min_value=0, max_value=100))
+    def test_gaussian_matches_proximal_gradient(self, d, hermitian, seed, extra):
+        g = np.random.default_rng(seed)
+        self._check_against_reference(_gaussian_batch(hermitian, d, 4 * d * d + extra, g))
 
 
 class TestRateFunction:
