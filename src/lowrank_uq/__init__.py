@@ -84,7 +84,7 @@ from .recovery import (
     pilot_to_state,
     rank_reduce,
 )
-from .reports import ConfidenceReport, report_csv_header, report_csv_row
+from .reports import ConfidenceReport
 from .sensing import (
     DesignEnsemble,
     SensingPlan,

@@ -103,13 +103,19 @@ def _pilot_errors(fix: PilotFixture, pilot_cfg: PilotConfig, rng) -> np.ndarray:
     return errors, states, pilots
 
 
+def _risk_quantile(fix: PilotFixture, errors: np.ndarray, delta: float) -> float:
+    """Risk constant D from the squared pilot errors; floored at 1e-6 so the
+    rate function stays positive."""
+    scaled = fix.n * errors / (fix.sigma**2 * fix.rank * fix.ensemble.dim)
+    return max(float(np.quantile(scaled, 1.0 - 2.0 * delta / 3.0)), 1e-6)
+
+
 def calibrate_pilot_risk(fix: PilotFixture, delta: float, rng,
                          pilot_cfg: PilotConfig = PilotConfig()) -> float:
     """Risk constant D: the 1 - 2 delta/3 empirical quantile of
-    n ||pilot - theta||_F^2 / (sigma^2 k d) over replications."""
+    n ||pilot - theta||_F^2 / (sigma^2 k d) over replications, at least 1e-6."""
     errors, _, _ = _pilot_errors(fix, pilot_cfg, rng)
-    scaled = fix.n * errors / (fix.sigma**2 * fix.rank * fix.ensemble.dim)
-    return float(np.quantile(scaled, 1.0 - 2.0 * delta / 3.0))
+    return _risk_quantile(fix, errors, delta)
 
 
 def calibrate_nuclear(fix: PilotFixture, delta: float, rng,
@@ -125,8 +131,7 @@ def calibrate_nuclear(fix: PilotFixture, delta: float, rng,
     gen = np.random.default_rng(rng)
     d, n = fix.ensemble.dim, fix.n
     errors, states, pilots = _pilot_errors(fix, pilot_cfg, gen)
-    scaled = n * errors / (fix.sigma**2 * fix.rank * d)
-    risk_d = max(float(np.quantile(scaled, 1.0 - 2.0 * delta / 3.0)), 1e-6)
+    risk_d = _risk_quantile(fix, errors, delta)
     rate = RateFunction(risk_d, fix.sigma, d, n)
 
     unit = rate(d) * rip_rate(d, d, n) + math.sqrt(d / n)  # deviation at c_v = 1

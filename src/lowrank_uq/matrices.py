@@ -147,6 +147,17 @@ def best_rank_k(a, k: int) -> np.ndarray:
     return (v * lam) @ v.conj().T
 
 
+def _truncation_errors(a) -> np.ndarray:
+    """``frobenius_norm(a - best_rank_k(a, k))`` for k = 1..d from one
+    decomposition.
+
+    The rank-k error is the root sum of the d - k smallest squared eigenvalue
+    magnitudes, so the rank-d entry is exactly 0.
+    """
+    tails = np.cumsum(np.sort(np.abs(eigh(a).eigenvalues)) ** 2)[::-1]
+    return np.sqrt(np.append(tails[1:], 0.0))
+
+
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex.
 
@@ -164,13 +175,10 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 def project_state_space(a) -> np.ndarray:
     """Frobenius projection onto the state space (PSD, unit trace).
 
-    Eigendecompose, project the eigenvalue vector onto the probability
-    simplex, reassemble.
+    The rank-d case of :func:`project_rank_k_state_space`.
     """
-    dec = eigh(a)
-    w = project_to_simplex(dec.eigenvalues)
-    v = dec.eigenvectors
-    return hermitize((v * w) @ v.conj().T)
+    a = check_hermitian(a)
+    return project_rank_k_state_space(a, a.shape[0])
 
 
 def project_rank_k_state_space(a, k: int) -> np.ndarray:

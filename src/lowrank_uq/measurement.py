@@ -15,9 +15,9 @@ import numpy as np
 from .matrices import check_hermitian
 from .sensing import (
     SensingPlan,
-    _read_pauli_plan,
+    _kind_token,
+    _read_plan_record,
     apply_sampling,
-    gaussian_design,
     pauli_coefficients,
 )
 
@@ -149,9 +149,7 @@ def measure_bernoulli_pauli(plan: SensingPlan, state, shots: int, rng,
 
 def write_batch_csv(batch: MeasurementBatch, path) -> None:
     plan = batch.plan
-    kind = plan.ensemble.kind
-    if kind == "gaussian" and plan.ensemble.hermitian:
-        kind = "gaussian-hermitian"
+    kind = _kind_token(plan.ensemble)
     seed = "-" if plan.seed is None else str(plan.seed)
     tag = batch.true_state_tag or "-"
     with open(path, "w", newline="") as fh:
@@ -182,20 +180,11 @@ def read_batch_csv(path) -> MeasurementBatch:
         meta = dict(item.split("=", 1) for item in header[2:].split())
         fh.readline()  # column names
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    d, n = int(meta["d"]), int(meta["n"])
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, found {len(rows)}")
+    if len(rows) != int(meta["n"]):
+        raise ValueError(f"expected {meta['n']} rows, found {len(rows)}")
+    plan = _read_plan_record(meta["kind"], meta["d"], meta["n"], meta["seed"],
+                             [r[1] for r in rows if r[1] != "-"])
     y = np.array([float(r[2]) for r in rows])
     noise = _parse_noise(meta["noise"])
     tag = None if meta.get("tag", "-") == "-" else meta["tag"]
-    if meta["kind"] == "pauli":
-        seed = None if meta["seed"] == "-" else int(meta["seed"])
-        plan = _read_pauli_plan(d, [int(r[1]) for r in rows], seed)
-    else:
-        if meta["seed"] == "-":
-            raise ValueError("gaussian batch file lacks a plan seed")
-        from .sensing import draw_plan  # local import to keep module load light
-
-        ensemble = gaussian_design(d, hermitian=(meta["kind"] == "gaussian-hermitian"))
-        plan = draw_plan(ensemble, n, int(meta["seed"]))
     return MeasurementBatch(plan, y, noise, tag)

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
-    best_rank_k,
+    _truncation_errors,
     check_hermitian,
     eigh,
     frobenius_norm,
-    hermitize,
     project_rank_k_state_space,
 )
 from .measurement import MeasurementBatch
@@ -92,11 +91,7 @@ def eigenvalue_estimator(second_batch: MeasurementBatch, theta_tilde,
     d, n = plan.dim, plan.n
     residuals = second_batch.y - apply_sampling(plan, theta_tilde)
     theta_prime = theta_tilde + adjoint_average(plan, residuals)
-    dec = eigh(theta_prime)
-    clipped = np.maximum(dec.eigenvalues, 0.0)
-    v = dec.eigenvectors
-    theta_hat = hermitize((v * clipped) @ v.conj().T)
-    lambdas = np.sort(np.linalg.eigvalsh(theta_hat))[::-1]
+    lambdas = np.maximum(eigh(theta_prime).eigenvalues, 0.0)
     scale = cfg.c_v * (cfg.rate(d) * rip_rate(d, d, n) + math.sqrt(d / n))
     return EigenvalueEstimate(lambdas, scale, source=f"batch:{second_batch.batch_id}")
 
@@ -107,12 +102,14 @@ def select_k_hat(pilot, est: EigenvalueEstimate, rate: RateFunction) -> int:
     2 k sqrt(d/n); returns d if no smaller rank qualifies."""
     pilot = check_hermitian(pilot)
     d, n = rate.dim, rate.n
+    if pilot.shape[0] != d:
+        raise ValueError(f"pilot is {pilot.shape[0]}x{pilot.shape[0]}, "
+                         f"the rate function is for d = {d}")
     root_dn = math.sqrt(d / n)
     # rounding slack so exactly-low-rank pilots qualify at a zero rate
     slack = 1e-10 * max(1.0, frobenius_norm(pilot))
-    for k in range(1, d + 1):
-        witness = best_rank_k(pilot, k)
-        if frobenius_norm(pilot - witness) > rate(k) + slack:
+    for k, tail in enumerate(_truncation_errors(pilot), start=1):
+        if tail > rate(k) + slack:
             continue
         if 1.0 - float(np.sum(est.lambdas[:k])) <= 2.0 * k * root_dn:
             return k

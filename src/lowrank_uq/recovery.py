@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import best_rank_k, frobenius_norm, hermitize, project_state_space
+from .matrices import (
+    _truncation_errors,
+    best_rank_k,
+    frobenius_norm,
+    hermitize,
+    project_state_space,
+)
 from .measurement import MeasurementBatch, noise_scale
 from .sensing import _pauli_synthesis, adjoint_average, apply_sampling, pauli_coefficients
 
@@ -273,17 +279,14 @@ def pilot_estimate(batch: MeasurementBatch, config: PilotConfig = PilotConfig(),
 def rank_reduce(pilot, rate: RateFunction):
     """Lowest-rank matrix within rate(k)/2 of the pilot, with its rank.
 
-    Scans k = 1..d using the exact Frobenius-optimal rank-k truncation as
-    the candidate; always terminates because the rank-d candidate has zero
-    distance (up to rounding, hence the small slack).
+    The candidate is the Frobenius-optimal rank-k truncation; all truncation
+    errors come from one decomposition, and the rank-d error is exactly 0, so
+    some k always qualifies.
     """
-    d = np.asarray(pilot).shape[0]
     slack = 1e-10 * max(1.0, frobenius_norm(pilot))
-    for k in range(1, d + 1):
-        candidate = best_rank_k(pilot, k)
-        if frobenius_norm(pilot - candidate) <= rate(k) / 2.0 + slack:
-            return candidate, k
-    raise AssertionError("unreachable: rank-d truncation is exact")
+    k = next(k for k, tail in enumerate(_truncation_errors(pilot), start=1)
+             if tail <= rate(k) / 2.0 + slack)
+    return best_rank_k(pilot, k), k
 
 
 def pilot_to_state(pilot) -> np.ndarray:

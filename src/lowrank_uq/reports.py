@@ -1,4 +1,4 @@
-"""Confidence set reports and their CSV row format."""
+"""Confidence set reports."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ import numpy as np
 
 from .matrices import frobenius_norm, nuclear_norm
 
-__all__ = ["ConfidenceReport", "report_csv_header", "report_csv_row"]
-
-CSV_COLUMNS = "method,norm_kind,alpha,n,d,statistic_value,radius_sq,covered,k_hat"
+__all__ = ["ConfidenceReport"]
 
 
 @dataclass(frozen=True)
@@ -46,16 +44,3 @@ class ConfidenceReport:
     def contains(self, v) -> bool:
         return self.distance_sq(v) <= self.radius_sq
 
-
-def report_csv_header() -> str:
-    return CSV_COLUMNS
-
-
-def report_csv_row(report: ConfidenceReport, truth=None) -> str:
-    covered = "" if truth is None else str(int(report.contains(truth)))
-    k_hat = "" if report.k_hat is None else str(report.k_hat)
-    return (
-        f"{report.method},{report.norm_kind},{report.level_alpha:.17g},"
-        f"{report.n},{report.d},{report.statistic_value:.17g},"
-        f"{report.radius_sq:.17g},{covered},{k_hat}"
-    )

@@ -381,24 +381,34 @@ def write_plan(plan: SensingPlan, path) -> None:
                 fh.write(f"{int(j)}\n")
 
 
-def _read_pauli_plan(d: int, indices, seed: int | None) -> SensingPlan:
-    """Pauli plan from indices read off a file; each must lie in [0, d^2)."""
+def _read_plan_record(token: str, d: str, n: str, seed: str, indices) -> SensingPlan:
+    """Plan from the text fields that a plan file or a batch CSV records.
+
+    Pauli plans list their n indices, each in [0, d^2); Gaussian plans list
+    none and are re-drawn from their seed.  ``seed`` is ``"-"`` when absent.
+    """
+    if token not in ("gaussian", "gaussian-hermitian", "pauli"):
+        raise ValueError(f"unknown design kind {token!r}")
+    d, n = int(d), int(n)
+    seed = None if seed == "-" else int(seed)
+    expected = n if token == "pauli" else 0
+    if len(indices) != expected:
+        raise ValueError(f"{token} plan of {n} draws needs {expected} indices, "
+                         f"got {len(indices)}")
+    if token != "pauli":
+        if seed is None:
+            raise ValueError("gaussian plan lacks a seed")
+        return draw_plan(gaussian_design(d, hermitian=(token == "gaussian-hermitian")), n, seed)
     ensemble = pauli_design(_num_qubits(d))
-    indices = np.asarray(indices)
+    indices = np.array([int(j) for j in indices], dtype=np.int64)
     bad = (indices < 0) | (indices >= d * d)
     if bad.any():
         raise ValueError(f"Pauli index {indices[bad][0]} out of range [0, {d * d})")
-    return SensingPlan(ensemble, len(indices), indices=indices, seed=seed)
+    return SensingPlan(ensemble, n, indices=indices, seed=seed)
 
 
 def read_plan(path) -> SensingPlan:
     with open(path) as fh:
-        token, d_str, n_str, seed_str = fh.readline().split()
-        d, n = int(d_str), int(n_str)
-        seed = None if seed_str == "-" else int(seed_str)
-        if token == "pauli":
-            return _read_pauli_plan(d, [int(fh.readline()) for _ in range(n)], seed)
-        ensemble = gaussian_design(d, hermitian=(token == "gaussian-hermitian"))
-        if seed is None:
-            raise ValueError("gaussian plan file lacks a seed")
-        return draw_plan(ensemble, n, seed)
+        token, d, n, seed = fh.readline().split()
+        indices = fh.read().split()
+    return _read_plan_record(token, d, n, seed, indices)

@@ -1,11 +1,22 @@
 """Shared test oracles: independent reference implementations used to freeze
 expected values (power iteration, naive pair sums, Bloch-parametrized grid
-searches for d = 2 projections)."""
+searches for d = 2 projections, rank scans that build every truncation)."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import lowrank_uq as lq
+
+# spectra of 1 to 16 eigenvalues; the sampled values make repeated, zero and
+# negative eigenvalues (and so exactly low-rank matrices) common
+spectra = st.lists(
+    st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 3.0]),
+              st.floats(min_value=-5.0, max_value=5.0)),
+    min_size=1, max_size=16,
+)
 
 
 def random_hermitian(d, rng, real=False, scale=1.0):
@@ -13,6 +24,43 @@ def random_hermitian(d, rng, real=False, scale=1.0):
     if not real:
         a = a + 1j * rng.standard_normal((d, d))
     return lq.hermitize(scale * a)
+
+
+def hermitian_with_spectrum(eigenvalues, rng, real=False):
+    """V diag(eigenvalues) V^dagger for a random orthogonal (``real``) or
+    unitary V, so repeated, zero and negative eigenvalues are exact."""
+    d = len(eigenvalues)
+    if real:
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        v = q * np.sign(np.diagonal(r))
+    else:
+        v = lq.haar_orthonormal_columns(d, d, rng)
+    return lq.hermitize((v * np.asarray(eigenvalues, dtype=float)) @ v.conj().T)
+
+
+def loop_select_k_hat(pilot, est, rate):
+    """k_hat by building every truncation best_rank_k(pilot, k) in turn."""
+    d, n = rate.dim, rate.n
+    root_dn = math.sqrt(d / n)
+    slack = 1e-10 * max(1.0, lq.frobenius_norm(pilot))
+    for k in range(1, d + 1):
+        witness = lq.best_rank_k(pilot, k)
+        if lq.frobenius_norm(pilot - witness) > rate(k) + slack:
+            continue
+        if 1.0 - float(np.sum(est.lambdas[:k])) <= 2.0 * k * root_dn:
+            return k
+    return d
+
+
+def loop_rank_reduce(pilot, rate):
+    """rank_reduce by building every truncation best_rank_k(pilot, k) in turn."""
+    d = np.asarray(pilot).shape[0]
+    slack = 1e-10 * max(1.0, lq.frobenius_norm(pilot))
+    for k in range(1, d + 1):
+        candidate = lq.best_rank_k(pilot, k)
+        if lq.frobenius_norm(pilot - candidate) <= rate(k) / 2.0 + slack:
+            return candidate, k
+    raise AssertionError("unreachable: rank-d truncation is exact")
 
 
 def power_iteration_opnorm(a, iters=8000, tol=1e-13):

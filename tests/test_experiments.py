@@ -238,6 +238,11 @@ class TestCalibration:
         d_const = lq.calibrate_pilot_risk(fix, 0.1, 42)
         assert d_const > 0
 
+    def test_pilot_risk_matches_nuclear_calibration(self):
+        # both calibrations read one quantile of the same pilot errors
+        fix = lq.PilotFixture(ensemble=lq.pauli_design(2), sigma=0.1, n=256, rank=1, reps=30)
+        assert lq.calibrate_pilot_risk(fix, 0.1, 42) == lq.calibrate_nuclear(fix, 0.1, 42)["pilot_D"]
+
     def test_constants_file_roundtrip(self, tmp_path):
         path = tmp_path / "constants.txt"
         values = {"rss_c": 1.0, "ustat_c": 2.5, "pilot_D": 4.25}

@@ -469,10 +469,3 @@ class TestMembership:
         assert report.contains(center + shift)
         assert not report.contains(center + 2 * shift)
 
-    def test_csv_row(self):
-        center = np.eye(2) / 2
-        report = lq.ConfidenceReport(center, 0.25, "frobenius", 0.05, "RSS", -0.1, 10, 2)
-        row = lq.report_csv_row(report, truth=center)
-        fields = row.split(",")
-        assert fields[0] == "RSS" and fields[7] == "1" and fields[8] == ""
-        assert lq.report_csv_header().split(",")[7] == "covered"

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lowrank_uq as lq
+from lowrank_uq.matrices import _truncation_errors
 
 from conftest import (
     bloch_grid_pure_projection,
     bloch_grid_state_projection,
+    hermitian_with_spectrum,
     power_iteration_opnorm,
     random_hermitian,
+    spectra,
 )
 
 
@@ -124,6 +127,37 @@ class TestBestRankK:
                     lam = np.real(np.einsum("ij,jk,ki->i", cols.conj().T, a, cols))
                     cand = (cols * lam) @ cols.conj().T
                     assert lq.frobenius_norm(a - cand) >= best - 1e-10
+
+
+class TestTruncationErrors:
+    @staticmethod
+    def _assert_matches_best_rank_k(a):
+        errors = _truncation_errors(a)
+        d = a.shape[0]
+        assert errors.shape == (d,)
+        tol = 1e-12 * max(1.0, lq.frobenius_norm(a))
+        for k in range(1, d + 1):
+            assert abs(errors[k - 1] - lq.frobenius_norm(a - lq.best_rank_k(a, k))) <= tol
+        assert errors[-1] == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spectrum=spectra, seed=st.integers(min_value=0, max_value=2**32 - 1),
+           real=st.booleans())
+    def test_matches_best_rank_k_on_given_spectrum(self, spectrum, seed, real):
+        rng = np.random.default_rng(seed)
+        self._assert_matches_best_rank_k(hermitian_with_spectrum(spectrum, rng, real=real))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           d=st.integers(min_value=1, max_value=16),
+           scale=st.floats(min_value=1e-3, max_value=1e3),
+           real=st.booleans())
+    def test_matches_best_rank_k_on_random_hermitian(self, seed, d, scale, real):
+        rng = np.random.default_rng(seed)
+        self._assert_matches_best_rank_k(random_hermitian(d, rng, real=real, scale=scale))
+
+    def test_zero_matrix(self):
+        assert np.array_equal(_truncation_errors(np.zeros((3, 3))), np.zeros(3))
 
 
 class TestStateSpaceProjection:

@@ -134,6 +134,38 @@ class TestBatchCsv:
         with pytest.raises(ValueError, match=match):
             lq.read_batch_csv(path)
 
+    @pytest.mark.parametrize("kind", ["paulii", "gausian", "PAULI"])
+    def test_unknown_kind_token_rejected(self, tmp_path, kind):
+        path = tmp_path / "batch.csv"
+        path.write_text(f"# kind={kind} d=4 n=2 noise=gaussian:0.1 seed=5 tag=-\n"
+                        "i,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
+        with pytest.raises(ValueError, match=repr(kind)):
+            lq.read_batch_csv(path)
+
+    def test_gaussian_batch_with_index_column_rejected(self, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_text("# kind=gaussian d=2 n=2 noise=gaussian:0.1 seed=5 tag=-\n"
+                        "i,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
+        with pytest.raises(ValueError, match="0 indices"):
+            lq.read_batch_csv(path)
+
+    def test_pauli_batch_missing_index_rejected(self, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_text("# kind=pauli d=4 n=2 noise=gaussian:0.1 seed=- tag=-\n"
+                        "i,design_index_or_file,y_i\n0,3,0.5\n1,-,0.25\n")
+        with pytest.raises(ValueError, match="2 indices"):
+            lq.read_batch_csv(path)
+
+    def test_gaussian_hermitian_roundtrip_via_seed(self, rng, tmp_path):
+        plan = lq.draw_plan(lq.gaussian_design(2, hermitian=True), 5, 8)
+        batch = lq.measure_gaussian(plan, np.eye(2).astype(complex) / 2, 0.2, rng)
+        path = tmp_path / "batch.csv"
+        lq.write_batch_csv(batch, path)
+        assert "kind=gaussian-hermitian" in path.read_text().splitlines()[0]
+        back = lq.read_batch_csv(path)
+        assert back.plan.ensemble.hermitian
+        assert np.array_equal(back.plan.matrices, plan.matrices)
+
     def test_distinct_batch_identities(self, rng):
         plan = lq.draw_plan(lq.pauli_design(1), 5, 1)
         a = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lowrank_uq as lq
+
+from conftest import hermitian_with_spectrum, loop_select_k_hat, spectra
 
 
 def _cfg(rate, C=2.0, c_v=1.0):
@@ -77,6 +81,35 @@ class TestSelectKHat:
         assert rate(1) >= lq.frobenius_norm(pilot)
         est = lq.EigenvalueEstimate(np.array([1.0, 0.0, 0.0, 0.0]), 0.01)
         assert lq.select_k_hat(pilot, est, rate) == 1
+
+
+    def test_dimension_mismatch_rejected(self, rng):
+        pilot = lq.random_rank_k_state(4, 1, rng)
+        rate = lq.RateFunction(D=1.0, sigma=0.1, dim=8, n=100)
+        est = lq.EigenvalueEstimate(np.full(8, 1 / 8), 0.01)
+        with pytest.raises(ValueError, match="4x4"):
+            lq.select_k_hat(pilot, est, rate)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(spectrum=spectra, seed=st.integers(min_value=0, max_value=2**32 - 1),
+           real=st.booleans(),
+           sigma=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+           D=st.floats(min_value=0.01, max_value=10.0),
+           n=st.integers(min_value=1, max_value=10**5))
+    def test_matches_loop_over_best_rank_k(self, spectrum, seed, real, sigma, D, n):
+        pilot = hermitian_with_spectrum(spectrum, np.random.default_rng(seed), real=real)
+        d = pilot.shape[0]
+        rate = lq.RateFunction(D=D, sigma=sigma, dim=d, n=n)
+        mass = np.sort(np.maximum(spectrum, 0.0))[::-1]
+        est = lq.EigenvalueEstimate(mass / max(1.0, mass.sum()), 0.0)
+        assert lq.select_k_hat(pilot, est, rate) == loop_select_k_hat(pilot, est, rate)
+
+    @pytest.mark.parametrize("d, r", [(1, 1), (4, 1), (6, 2), (8, 3), (16, 5)])
+    def test_exactly_low_rank_at_zero_rate(self, rng, d, r):
+        pilot = lq.random_rank_k_state(d, r, rng)
+        rate = lq.RateFunction(D=1.0, sigma=0.0, dim=d, n=10**6)
+        est = lq.EigenvalueEstimate(np.sort(np.linalg.eigvalsh(pilot))[::-1], 0.0)
+        assert lq.select_k_hat(pilot, est, rate) == loop_select_k_hat(pilot, est, rate) == r
 
 
 class TestNuclearConfidenceSet:

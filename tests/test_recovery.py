@@ -7,7 +7,13 @@ from numpy.testing import assert_allclose
 import lowrank_uq as lq
 from lowrank_uq.recovery import _least_squares
 
-from conftest import bloch_grid_state_projection, random_hermitian
+from conftest import (
+    bloch_grid_state_projection,
+    hermitian_with_spectrum,
+    loop_rank_reduce,
+    random_hermitian,
+    spectra,
+)
 
 # Derandomized property tests: a run of the suite is reproducible, and the
 # seed feeds numpy.
@@ -243,6 +249,29 @@ class TestRankReduce:
         rate = lq.RateFunction(D=1.0, sigma=0.0, dim=4, n=100)
         reduced, k = lq.rank_reduce(pilot, rate)
         assert k == 3
+        assert_allclose(reduced, pilot, atol=1e-10)
+
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(spectrum=spectra, seed=st.integers(min_value=0, max_value=2**32 - 1),
+           real=st.booleans(),
+           sigma=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+           D=st.floats(min_value=0.01, max_value=10.0),
+           n=st.integers(min_value=1, max_value=10**5))
+    def test_matches_loop_over_best_rank_k(self, spectrum, seed, real, sigma, D, n):
+        pilot = hermitian_with_spectrum(spectrum, np.random.default_rng(seed), real=real)
+        rate = lq.RateFunction(D=D, sigma=sigma, dim=pilot.shape[0], n=n)
+        reduced, k = lq.rank_reduce(pilot, rate)
+        expected, k_loop = loop_rank_reduce(pilot, rate)
+        assert k == k_loop
+        assert np.array_equal(reduced, expected)
+
+    @pytest.mark.parametrize("d, r", [(1, 1), (4, 2), (8, 3), (16, 5)])
+    def test_exactly_low_rank_at_zero_rate(self, rng, d, r):
+        pilot = lq.random_rank_k_state(d, r, rng)
+        rate = lq.RateFunction(D=1.0, sigma=0.0, dim=d, n=100)
+        reduced, k = lq.rank_reduce(pilot, rate)
+        assert k == loop_rank_reduce(pilot, rate)[1] == r
         assert_allclose(reduced, pilot, atol=1e-10)
 
 

@@ -295,6 +295,26 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="out of range"):
             lq.read_plan(path)
 
+    @pytest.mark.parametrize("header", ["gausian 4 3 7", "paulii 4 3 7", "Pauli 4 3 -"])
+    def test_unknown_kind_token_rejected(self, tmp_path, header):
+        path = tmp_path / "plan.txt"
+        path.write_text(f"{header}\n1\n2\n3\n")
+        with pytest.raises(ValueError, match=repr(header.split()[0])):
+            lq.read_plan(path)
+
+    @pytest.mark.parametrize("lines", ["0\n1\n", "0\n1\n2\n3\n"])
+    def test_pauli_index_count_must_match_n(self, tmp_path, lines):
+        path = tmp_path / "plan.txt"
+        path.write_text(f"pauli 4 3 -\n{lines}")
+        with pytest.raises(ValueError, match="3 indices"):
+            lq.read_plan(path)
+
+    def test_gaussian_plan_with_index_lines_rejected(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_text("gaussian 3 2 7\n0\n1\n")
+        with pytest.raises(ValueError, match="0 indices"):
+            lq.read_plan(path)
+
     def test_gaussian_without_seed_rejected(self, tmp_path):
         plan = lq.draw_plan(lq.gaussian_design(2), 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="seed"):

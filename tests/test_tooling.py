@@ -1,0 +1,21 @@
+"""The benchmark harness traces package functions by name: every name that
+``perfbench/tracing.py`` lists must exist, or a traced run fails."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_traced_functions_resolve(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{mod}.{fn}" for mod, fns in tracing.LAYERS.items() for fn in fns
+        if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{mod}"), fn, None))
+    ]
+    assert tracing.LAYERS and not missing
