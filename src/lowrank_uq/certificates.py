@@ -84,6 +84,7 @@ class EpochRecord:
     diameter: float
     pilot_iterations: int
     pilot_converged: bool
+    pilot_gap: float  # relative duality gap of the pilot solve
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,7 @@ class Certificate:
                     "diameter": e.diameter,
                     "pilot_iterations": e.pilot_iterations,
                     "pilot_converged": e.pilot_converged,
+                    "pilot_gap": e.pilot_gap,
                 }
                 for e in self.epochs
             ],
@@ -194,7 +196,7 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
         diameter = min(width, STATE_SPACE_DIAMETER)
         epochs.append(EpochRecord(m, 2 * n_half, n_half, method, alpha,
                                   ball.statistic_value, ball.radius_sq, diameter,
-                                  solve.iterations, solve.converged))
+                                  solve.iterations, solve.converged, solve.gap))
         if diameter <= cfg.epsilon:
             stopped = True
             break

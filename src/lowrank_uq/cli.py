@@ -125,12 +125,12 @@ def _cmd_certify(args) -> int:
     with open(log, "a") as fh:
         if new_file:
             fh.write("seed,d,rank,m,budget,n_half,method,alpha,statistic,radius_sq,diameter,"
-                     "pilot_iterations,pilot_converged\n")
+                     "pilot_iterations,pilot_converged,pilot_gap\n")
         for e in cert.epochs:
             fh.write(
                 f"{seed},{args.d},{args.rank},{e.m},{e.budget},{e.n_half},{e.method},"
                 f"{e.alpha:.17g},{e.statistic:.17g},{e.radius_sq:.17g},{e.diameter:.17g},"
-                f"{e.pilot_iterations},{int(e.pilot_converged)}\n"
+                f"{e.pilot_iterations},{int(e.pilot_converged)},{e.pilot_gap:.17g}\n"
             )
     err = frobenius_norm(cert.theta_hat - state)
     print(f"# recovery error {err:.6g}, target {args.eps:g}", file=sys.stderr)

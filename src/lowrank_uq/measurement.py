@@ -177,9 +177,23 @@ def read_batch_csv(path) -> MeasurementBatch:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise ValueError("missing batch header")
-        meta = dict(item.split("=", 1) for item in header[2:].split())
+        meta = {}
+        for item in header[2:].split():
+            key, eq, value = item.partition("=")
+            if not eq:
+                raise ValueError(f"batch header item {item!r} is not key=value")
+            meta[key] = value
+        for key in ("kind", "d", "n", "noise", "seed"):
+            if key not in meta:
+                raise ValueError(f"batch header lacks {key}=")
         fh.readline()  # column names
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = []
+        for number, line in enumerate(fh, start=3):
+            if line.strip():
+                rows.append(line.strip().split(","))
+                if len(rows[-1]) != 3:
+                    raise ValueError(f"batch row at line {number} has {len(rows[-1])} "
+                                     f"fields, expected 3: {line.strip()!r}")
     if len(rows) != int(meta["n"]):
         raise ValueError(f"expected {meta['n']} rows, found {len(rows)}")
     plan = _read_plan_record(meta["kind"], meta["d"], meta["n"], meta["seed"],

@@ -162,6 +162,8 @@ class TestRunCertificate:
         for record, e in zip(payload["epochs"], cert.epochs):
             assert record["pilot_iterations"] == e.pilot_iterations >= 1
             assert record["pilot_converged"] is e.pilot_converged
+            assert record["pilot_gap"] == e.pilot_gap
+            assert e.pilot_converged == (e.pilot_gap <= cfg.pilot.gap_tol)
 
 
 class TestConfigValidation:

@@ -91,8 +91,12 @@ class TestCertifyCommand:
         assert payload["n_hat"] == sum(e["budget"] for e in payload["epochs"])
         log = (tmp_path / "certify_epochs.csv").read_text().strip().split("\n")
         assert log[0].startswith("seed,d,rank,m,budget")
-        assert log[0].endswith(",diameter,pilot_iterations,pilot_converged")
-        assert all(line.split(",")[-1] in ("0", "1") for line in log[1:])
+        assert log[0].endswith(",diameter,pilot_iterations,pilot_converged,pilot_gap")
+        rows = [line.split(",") for line in log[1:]]
+        assert all(row[-2] in ("0", "1") for row in rows)
+        # a pilot converged exactly when its gap met the default tolerance
+        assert all((row[-2] == "1") == (float(row[-1]) <= lq.PilotConfig().gap_tol)
+                   for row in rows)
         assert len(log) == 1 + len(payload["epochs"])
 
     def test_bernoulli_noise_flag(self, tmp_path, capsys, monkeypatch):

@@ -156,6 +156,31 @@ class TestBatchCsv:
         with pytest.raises(ValueError, match="2 indices"):
             lq.read_batch_csv(path)
 
+    @pytest.mark.parametrize("row", ["1,7", "1", "1,7,0.25,9"])
+    def test_row_with_wrong_field_count_rejected(self, tmp_path, row):
+        path = tmp_path / "batch.csv"
+        path.write_text("# kind=pauli d=4 n=2 noise=gaussian:0.1 seed=- tag=-\n"
+                        f"i,design_index_or_file,y_i\n0,3,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=f"line 4 .*{row!r}"):
+            lq.read_batch_csv(path)
+
+    @pytest.mark.parametrize("key", ["kind", "d", "n", "noise", "seed"])
+    def test_header_missing_key_rejected(self, tmp_path, key):
+        items = {"kind": "pauli", "d": "4", "n": "2", "noise": "gaussian:0.1", "seed": "-"}
+        del items[key]
+        header = " ".join(f"{k}={v}" for k, v in items.items())
+        path = tmp_path / "batch.csv"
+        path.write_text(f"# {header} tag=-\ni,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
+        with pytest.raises(ValueError, match=f"lacks {key}="):
+            lq.read_batch_csv(path)
+
+    def test_header_item_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_text("# kind=pauli d=4 n=2 gaussian seed=- tag=-\n"
+                        "i,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
+        with pytest.raises(ValueError, match="'gaussian' is not key=value"):
+            lq.read_batch_csv(path)
+
     def test_gaussian_hermitian_roundtrip_via_seed(self, rng, tmp_path):
         plan = lq.draw_plan(lq.gaussian_design(2, hermitian=True), 5, 8)
         batch = lq.measure_gaussian(plan, np.eye(2).astype(complex) / 2, 0.2, rng)

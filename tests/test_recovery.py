@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lowrank_uq as lq
-from lowrank_uq.recovery import _least_squares
+from lowrank_uq.recovery import _least_squares, _relative_gap
 
 from conftest import (
     bloch_grid_state_projection,
@@ -53,6 +53,12 @@ def _objective(batch, theta, lam):
     return 0.5 * float(np.mean(resid**2)) + lam * lq.nuclear_norm(theta)
 
 
+def _gap(batch, theta, lam):
+    """Relative duality gap of the Hermitian matrix theta, from the summary."""
+    ls = _least_squares(batch)
+    return _relative_gap(ls, ls.coordinates(theta), _objective(batch, theta, lam), lam)
+
+
 def _proximal_gradient(batch, lam, step, tol=1e-13, max_iters=200_000):
     """Reference: plain proximal gradient at a fixed step, run until the
     move per step falls to ``tol``."""
@@ -74,14 +80,27 @@ class TestPilotEstimate:
         rho = lq.random_rank_k_state(4, 2, rng)
         plan = lq.full_basis_plan(lq.pauli_design(2), 1)
         batch = lq.measure_gaussian(plan, rho, 0.0, rng)
-        pilot = lq.pilot_estimate(batch)
+        pilot, info = lq.pilot_estimate(batch, return_info=True)
         assert lq.frobenius_norm(pilot - rho) <= 1e-6
+        # the exact fit drives the objective to its rounding level, where the
+        # gap still certifies it
+        assert info.converged
 
     def test_zero_data_heavy_penalty_returns_zero(self):
-        plan = lq.draw_plan(lq.pauli_design(2), 16, 0)
+        self._check_zero_solve(lq.pauli_design(2))
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_zero_data_heavy_penalty_returns_zero_gaussian(self, hermitian):
+        self._check_zero_solve(lq.gaussian_design(4, hermitian=hermitian))
+
+    @staticmethod
+    def _check_zero_solve(ensemble):
+        plan = lq.draw_plan(ensemble, 16, 0)
         batch = lq.MeasurementBatch(plan, np.zeros(16), lq.GaussianNoise(1.0))
-        pilot = lq.pilot_estimate(batch, lq.PilotConfig(lambda_scale=50.0))
+        pilot, info = lq.pilot_estimate(batch, lq.PilotConfig(lambda_scale=50.0),
+                                        return_info=True)
         assert lq.frobenius_norm(pilot) == 0.0
+        assert info.gap == 0.0 and info.converged and info.iterations == 1
 
     def test_objective_monotone(self, rng):
         rho = lq.random_rank_k_state(4, 1, rng)
@@ -97,7 +116,7 @@ class TestPilotEstimate:
         batch = lq.measure_gaussian(plan, rho, 0.1, rng)
         _, info = lq.pilot_estimate(batch, return_info=True)
         assert isinstance(info, lq.SolverInfo)
-        assert info.converged and info.criterion <= lq.PilotConfig().grad_tol
+        assert info.converged and info.gap <= lq.PilotConfig().gap_tol
         assert 1 <= info.iterations < lq.PilotConfig().max_iters
         assert len(info.objective) <= info.iterations + 1
         assert info.step == pytest.approx(1 / (1.1 * info.lipschitz))
@@ -105,7 +124,7 @@ class TestPilotEstimate:
         # the cap is reported, not hidden
         _, capped = lq.pilot_estimate(batch, lq.PilotConfig(max_iters=2), return_info=True)
         assert capped.iterations == 2 and not capped.converged
-        assert capped.criterion > lq.PilotConfig().grad_tol
+        assert capped.gap > lq.PilotConfig().gap_tol
 
     def test_divergence_detector(self, rng):
         rho = lq.random_rank_k_state(4, 1, rng)
@@ -170,18 +189,20 @@ class TestLeastSquaresSummary:
     def _check_value_and_gradient(batch, theta):
         ls = _least_squares(batch)
         resid = lq.apply_sampling(batch.plan, theta) - batch.y
-        u = ls.coordinates(theta)
+        x = ls.coordinates(theta)
+        assert lq.frobenius_norm(ls.matrix(x) - theta) <= 1e-12 * lq.frobenius_norm(theta)
         want = 0.5 * float(np.mean(resid**2))
-        assert abs(ls.value(u) - want) <= 1e-12 * want
+        assert abs(ls.value(x) - want) <= 1e-12 * want
         grad = lq.adjoint_average(batch.plan, resid)
-        assert lq.frobenius_norm(ls.gradient(u) - grad) <= 1e-12 * lq.frobenius_norm(grad)
+        got = ls.matrix(ls.gradient(x))
+        assert lq.frobenius_norm(got - grad) <= 1e-12 * lq.frobenius_norm(grad)
 
 
 class TestRestartedFista:
     # On well-posed fixtures (n >= 4 d^2, and every Pauli index observed)
     # the objective is strongly convex, so the restarted solver and a long
     # plain proximal-gradient run reach the same minimizer.
-    _TIGHT = lq.PilotConfig(grad_tol=1e-11, max_iters=20_000)
+    _TIGHT = lq.PilotConfig(gap_tol=1e-12, max_iters=20_000)
 
     def _check_against_reference(self, batch):
         theta, info = lq.pilot_estimate(batch, self._TIGHT, return_info=True)
@@ -190,6 +211,8 @@ class TestRestartedFista:
         want = _objective(batch, ref, info.lambda_)
         assert abs(_objective(batch, theta, info.lambda_) - want) <= 1e-10 * want
         assert lq.frobenius_norm(theta - ref) <= 1e-6
+        # the gap certifies the reference solution too
+        assert _gap(batch, ref, info.lambda_) <= 1e-10
 
     @pytest.mark.parametrize("nq", [1, 2, 3])
     @_PROPERTY
@@ -211,6 +234,52 @@ class TestRestartedFista:
     def test_gaussian_matches_proximal_gradient(self, d, hermitian, seed, extra):
         g = np.random.default_rng(seed)
         self._check_against_reference(_gaussian_batch(hermitian, d, 4 * d * d + extra, g))
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("nq", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["random", "paired", "full"])
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.integers(min_value=1, max_value=200),
+           lam=st.floats(min_value=0.0, max_value=10.0),
+           scale=st.floats(min_value=1e-3, max_value=1e3))
+    def test_pauli_weak_duality(self, kind, nq, seed, n, lam, scale):
+        g = np.random.default_rng(seed)
+        plan = _pauli_plan(kind, nq, n, g)
+        batch = lq.MeasurementBatch(plan, g.standard_normal(plan.n), lq.GaussianNoise(1.0))
+        assert _gap(batch, scale * random_hermitian(plan.dim, g), lam) >= -1e-12
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.integers(min_value=1, max_value=60),
+           lam=st.floats(min_value=0.0, max_value=10.0),
+           scale=st.floats(min_value=1e-3, max_value=1e3))
+    def test_gaussian_weak_duality(self, d, hermitian, seed, n, lam, scale):
+        g = np.random.default_rng(seed)
+        batch = _gaussian_batch(hermitian, d, n, g)
+        theta = scale * random_hermitian(d, g, real=not hermitian)
+        assert _gap(batch, theta, lam) >= -1e-12
+
+    @pytest.mark.parametrize("design", ["pauli", "gaussian"])
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.integers(min_value=4, max_value=120),
+           max_iters=st.integers(min_value=1, max_value=60),
+           gap_tol=st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]))
+    def test_converged_iff_gap_within_tolerance(self, design, seed, n, max_iters, gap_tol):
+        g = np.random.default_rng(seed)
+        if design == "pauli":
+            plan = lq.draw_plan(lq.pauli_design(2), n, g)
+            batch = lq.measure_gaussian(plan, lq.random_rank_k_state(4, 1, g), 0.1, g)
+        else:
+            batch = _gaussian_batch(True, 4, n, g)
+        cfg = lq.PilotConfig(gap_tol=gap_tol, max_iters=max_iters)
+        theta, info = lq.pilot_estimate(batch, cfg, return_info=True)
+        assert info.converged == (info.gap <= gap_tol)
+        assert info.converged or info.iterations == max_iters
+        # the reported gap is that of the returned iterate
+        assert info.gap >= -1e-12
+        assert abs(info.gap - _gap(batch, theta, info.lambda_)) <= 1e-9
 
 
 class TestRateFunction:
