@@ -190,10 +190,11 @@ def read_batch_csv(path) -> MeasurementBatch:
         rows = []
         for number, line in enumerate(fh, start=3):
             if line.strip():
-                rows.append(line.strip().split(","))
-                if len(rows[-1]) != 3:
-                    raise ValueError(f"batch row at line {number} has {len(rows[-1])} "
+                fields = line.strip().split(",")
+                if len(fields) != 3:
+                    raise ValueError(f"batch row at line {number} has {len(fields)} "
                                      f"fields, expected 3: {line.strip()!r}")
+                rows.append(fields)
     if len(rows) != int(meta["n"]):
         raise ValueError(f"expected {meta['n']} rows, found {len(rows)}")
     plan = _read_plan_record(meta["kind"], meta["d"], meta["n"], meta["seed"],

@@ -149,9 +149,6 @@ def _lipschitz_estimate(plan, iters: int = 80, tol: float = 1e-4,
 # ``dual_value(x, lam)`` is the Fenchel dual objective at the dual point
 # scaled from the gradient at x.  Weak duality makes f + lam ||theta||_S1
 # minus the dual value an upper bound on the suboptimality of theta.
-# ``floor`` is the rounding level eps * f(0) of the objective.
-
-_EPS = float(np.finfo(float).eps)
 
 
 class _PauliLeastSquares:
@@ -186,7 +183,6 @@ class _PauliLeastSquares:
                                               where=counts > 0)
         self.offset = 0.5 * float(np.mean((batch.y - plan.dim * self.targets[plan.indices]) ** 2))
         self.lipschitz = float(self.weights.max())
-        self.floor = _EPS * self.value(np.zeros(d2))
 
     def coordinates(self, theta) -> np.ndarray:
         return pauli_coefficients(theta, self.num_qubits).real
@@ -220,7 +216,6 @@ class _GaussianLeastSquares:
         self.plan = batch.plan
         self.y = batch.y
         self.lipschitz = _lipschitz_estimate(batch.plan)
-        self.floor = _EPS * 0.5 * float(np.mean(batch.y**2))
 
     def coordinates(self, theta) -> np.ndarray:
         return hermitize(theta)
@@ -247,12 +242,12 @@ def _least_squares(batch: MeasurementBatch):
     return _GaussianLeastSquares(batch)
 
 
-def _relative_gap(ls, x, objective: float, lam: float) -> float:
+def _relative_gap(ls, x, objective: float, lam: float, floor: float) -> float:
     """(P - D) / P at the iterate with coordinates x and objective P, with D
-    the dual value of the summary ``ls``.  P is floored at the summary's
-    rounding level, since an exact fit (lam = 0, noiseless data) drives it
-    to 0; the gap is 0 when the data are all 0."""
-    scale = max(objective, ls.floor)
+    the dual value of the summary ``ls``.  P is floored at ``floor``, the
+    rounding level eps P(0) of the objective, since an exact fit (lam = 0,
+    noiseless data) drives it to 0; the gap is 0 when the data are all 0."""
+    scale = max(objective, floor)
     return (objective - ls.dual_value(x, lam)) / scale if scale > 0 else 0.0
 
 
@@ -310,6 +305,7 @@ def pilot_estimate(batch: MeasurementBatch, config: PilotConfig = PilotConfig(),
     x = ls.coordinates(np.zeros((d, d), dtype=complex))
     objective = ls.value(x)
     history = [objective]
+    floor = float(np.finfo(float).eps) * objective
     z, momentum = x, 1.0
     increases = restarts = iterations = 0
     gap, next_check = None, 1  # gap is None until computed for the current x
@@ -334,12 +330,12 @@ def pilot_estimate(batch: MeasurementBatch, config: PilotConfig = PilotConfig(),
         x, objective, momentum, gap = x_new, obj_new, momentum_new, None
         history.append(objective)
         if iterations >= next_check:
-            gap = _relative_gap(ls, x, objective, lam)
+            gap = _relative_gap(ls, x, objective, lam, floor)
             if gap <= config.gap_tol:
                 break
             next_check = iterations + _GAP_EVERY
     if gap is None:
-        gap = _relative_gap(ls, x, objective, lam)
+        gap = _relative_gap(ls, x, objective, lam, floor)
     theta = hermitize(ls.matrix(x))
     if return_info:
         return theta, SolverInfo(

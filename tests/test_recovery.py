@@ -54,9 +54,11 @@ def _objective(batch, theta, lam):
 
 
 def _gap(batch, theta, lam):
-    """Relative duality gap of the Hermitian matrix theta, from the summary."""
+    """Relative duality gap of the Hermitian matrix theta, from the summary,
+    with the solver's floor eps P(0)."""
     ls = _least_squares(batch)
-    return _relative_gap(ls, ls.coordinates(theta), _objective(batch, theta, lam), lam)
+    floor = np.finfo(float).eps * 0.5 * float(np.mean(batch.y**2))
+    return _relative_gap(ls, ls.coordinates(theta), _objective(batch, theta, lam), lam, floor)
 
 
 def _proximal_gradient(batch, lam, step, tol=1e-13, max_iters=200_000):
@@ -212,7 +214,7 @@ class TestRestartedFista:
         assert abs(_objective(batch, theta, info.lambda_) - want) <= 1e-10 * want
         assert lq.frobenius_norm(theta - ref) <= 1e-6
         # the gap certifies the reference solution too
-        assert _gap(batch, ref, info.lambda_) <= 1e-10
+        assert -1e-12 <= _gap(batch, ref, info.lambda_) <= 1e-10
 
     @pytest.mark.parametrize("nq", [1, 2, 3])
     @_PROPERTY
