@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants_io import save_constants
-from .experiments import ExperimentSpec, replication_statistic
+from .experiments import ExperimentSpec, _cell_statistics
 from .frobenius_sets import DEFAULT_SIMULATION_CONSTANTS, calibrated_bound
 from .matrices import frobenius_norm, nuclear_norm, random_rank_k_state
 from .measurement import measure_gaussian
@@ -25,7 +25,7 @@ from .nuclear_sets import (
     nuclear_confidence_set,
     rip_rate,
 )
-from .recovery import PilotConfig, RateFunction, pilot_estimate
+from .recovery import RateFunction, pilot_estimate
 from .sensing import DesignEnsemble, draw_plan, pauli_design
 
 __all__ = [
@@ -36,6 +36,10 @@ __all__ = [
     "calibrate_nuclear",
     "run_calibration",
 ]
+
+
+# safety factor on the calibrated nuclear-set constants c_v and C
+_MARGIN = 1.05
 
 
 class CalibrationError(RuntimeError):
@@ -54,9 +58,7 @@ def coverage_curve(spec: ExperimentSpec, method: str, n_values, grid) -> np.ndar
     grid = np.asarray(grid, dtype=float)
     worst = np.ones_like(grid)
     for n in n_values:
-        stats = np.array(
-            [replication_statistic(spec, method, n, rep) for rep in range(spec.reps)]
-        )
+        stats = _cell_statistics(spec, method, n, range(spec.reps))
         cov = np.array([
             np.mean(r_sq <= calibrated_bound(kind, stats, math.sqrt(r_sq), n, spec.d, c))
             for c in grid
@@ -87,7 +89,7 @@ class PilotFixture:
     reps: int
 
 
-def _pilot_errors(fix: PilotFixture, pilot_cfg: PilotConfig, rng) -> np.ndarray:
+def _pilot_errors(fix: PilotFixture, rng) -> np.ndarray:
     gen = np.random.default_rng(rng)
     errors = np.empty(fix.reps)
     states = []
@@ -96,7 +98,7 @@ def _pilot_errors(fix: PilotFixture, pilot_cfg: PilotConfig, rng) -> np.ndarray:
         state = random_rank_k_state(fix.ensemble.dim, fix.rank, gen)
         plan = draw_plan(fix.ensemble, fix.n, gen)
         batch = measure_gaussian(plan, state, fix.sigma, gen)
-        pilot = pilot_estimate(batch, pilot_cfg)
+        pilot = pilot_estimate(batch)
         errors[rep] = frobenius_norm(pilot - state) ** 2
         states.append(state)
         pilots.append(pilot)
@@ -110,27 +112,24 @@ def _risk_quantile(fix: PilotFixture, errors: np.ndarray, delta: float) -> float
     return max(float(np.quantile(scaled, 1.0 - 2.0 * delta / 3.0)), 1e-6)
 
 
-def calibrate_pilot_risk(fix: PilotFixture, delta: float, rng,
-                         pilot_cfg: PilotConfig = PilotConfig()) -> float:
+def calibrate_pilot_risk(fix: PilotFixture, delta: float, rng) -> float:
     """Risk constant D: the 1 - 2 delta/3 empirical quantile of
     n ||pilot - theta||_F^2 / (sigma^2 k d) over replications, at least 1e-6."""
-    errors, _, _ = _pilot_errors(fix, pilot_cfg, rng)
+    errors, _, _ = _pilot_errors(fix, rng)
     return _risk_quantile(fix, errors, delta)
 
 
-def calibrate_nuclear(fix: PilotFixture, delta: float, rng,
-                      pilot_cfg: PilotConfig = PilotConfig(),
-                      margin: float = 1.05) -> dict:
+def calibrate_nuclear(fix: PilotFixture, delta: float, rng) -> dict:
     """Calibrate D, the deviation scale multiplier c_v, and the ball constant C.
 
     Per replication: a fresh rank-k state, an independent pilot sample and a
     second sample for the spectrum estimate.  c_v is set so the partial-sum
     eigenvalue bound holds on 95% of replications, C so that the nuclear ball
-    covers on 1 - delta of them; both get a small safety margin.
+    covers on 1 - delta of them; both get the safety margin ``_MARGIN``.
     """
     gen = np.random.default_rng(rng)
     d, n = fix.ensemble.dim, fix.n
-    errors, states, pilots = _pilot_errors(fix, pilot_cfg, gen)
+    errors, states, pilots = _pilot_errors(fix, gen)
     risk_d = _risk_quantile(fix, errors, delta)
     rate = RateFunction(risk_d, fix.sigma, d, n)
 
@@ -152,8 +151,8 @@ def calibrate_nuclear(fix: PilotFixture, delta: float, rng,
         ball_ratios[rep] = nuclear_norm(state - report.center) / (
             math.sqrt(k_hat) * rate(k_hat)
         )
-    c_v = margin * float(np.quantile(dev_ratios, 0.95))
-    ball_c = margin * float(np.quantile(ball_ratios, 1.0 - delta))
+    c_v = _MARGIN * float(np.quantile(dev_ratios, 0.95))
+    ball_c = _MARGIN * float(np.quantile(ball_ratios, 1.0 - delta))
     return {"pilot_D": risk_d, "nuclear_c_v": c_v, "nuclear_C": ball_c}
 
 

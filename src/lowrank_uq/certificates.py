@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .measurement import (
     measure_bernoulli_pauli,
     measure_gaussian,
 )
-from .recovery import PilotConfig, pilot_estimate, pilot_to_state
+from .recovery import pilot_estimate, pilot_to_state
 from .sensing import DesignEnsemble, draw_paired_plan, draw_plan, full_basis_plan
 
 __all__ = ["CertificateConfig", "EpochRecord", "Certificate", "run_certificate"]
@@ -55,7 +55,6 @@ class CertificateConfig:
     noise: object
     t_max: int = 14
     constants_regime: str = "simulation"
-    pilot: PilotConfig = field(default_factory=PilotConfig)
     isotropic_ustat: bool = False
 
     def __post_init__(self):
@@ -168,7 +167,7 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
 
         pilot_plan = draw_plan(cfg.ensemble, n_half, gen)
         pilot_batch = acquire(pilot_plan)
-        pilot, solve = pilot_estimate(pilot_batch, cfg.pilot, return_info=True)
+        pilot, solve = pilot_estimate(pilot_batch, return_info=True)
         theta_hat = pilot_to_state(pilot)
 
         if isinstance(cfg.noise, BernoulliPauliNoise) and cfg.noise.shots < n_half:

@@ -11,26 +11,13 @@ import numpy as np
 
 from .calibration import run_calibration
 from .certificates import CertificateConfig, run_certificate
+from .constants_io import _read_key_values
 from .experiments import ExperimentSpec, merged_table_rows, result_rows_csv, run_experiment
 from .matrices import frobenius_norm, random_rank_k_state
 from .measurement import BernoulliPauliNoise, GaussianNoise
 from .sensing import _num_qubits, gaussian_design, pauli_design
 
 SEED_ENV_VAR = "LOWRANK_UQ_SEED"
-
-
-def _parse_config(path) -> dict:
-    cfg = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed config line {raw!r}")
-            cfg[key.strip()] = value.strip()
-    return cfg
 
 
 def _split_list(value: str) -> list:
@@ -43,7 +30,7 @@ SIMULATE_KEYS = ("seed", "design", "eta", "R", "n_grid", "reps", "d", "constants
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _parse_config(args.config)
+    cfg = _read_key_values(args.config)
     for key in cfg:
         if key not in SIMULATE_KEYS:
             raise ValueError(f"unknown config key {key!r}")

@@ -1,8 +1,25 @@
-"""Calibrated-constants file: plain "key = value" text, '#' comments."""
+"""Key = value text files: the calibrated constants and the ``simulate``
+config.  '#' starts a comment, blank lines are skipped."""
 
 from __future__ import annotations
 
 __all__ = ["save_constants", "load_constants"]
+
+
+def _read_key_values(path) -> dict:
+    """The key = value pairs of the file as stripped strings; a line without
+    '=' raises ValueError naming it."""
+    out = {}
+    with open(path) as fh:
+        for number, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path} line {number} is not key = value: {raw.strip()!r}")
+            out[key.strip()] = value.strip()
+    return out
 
 
 def save_constants(path, constants: dict, header: str | None = None) -> None:
@@ -15,14 +32,4 @@ def save_constants(path, constants: dict, header: str | None = None) -> None:
 
 
 def load_constants(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed constants line {raw!r}")
-            out[key.strip()] = float(value)
-    return out
+    return {key: float(value) for key, value in _read_key_values(path).items()}

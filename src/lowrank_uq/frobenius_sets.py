@@ -133,8 +133,10 @@ def rss_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float,
 
         ||v - center||^2 <= 2 (stat + z d/n + (zbar + xi) / sqrt(n)),
 
-    with zbar^2 = z_{alpha/3} sigma^2 max(3 ||v - center||^2, 4 z d / n);
-    the radius is the largest x solving the induced two-regime quadratic.  With
+    with zbar^2 = z_{alpha/3} sigma^2 max(3 ||v - center||^2, 4 z d / n).
+    The radius is the largest fixed point of x -> b + a max(sqrt(3x),
+    sqrt(4 z d / n)), the larger of two nondecreasing maps, so it is the
+    larger of their largest fixed points (and at least 0).  With
     ``error_model="bernoulli"`` the chi-square and log quantiles are replaced
     by the Chebyshev constants sqrt(3/alpha) (requires T >= 4 d^2) and
     ``sigma`` should be the variance bound sqrt(d/T).
@@ -153,16 +155,8 @@ def rss_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float,
     zd_term = z * d / n
     b = 2.0 * (stat + zd_term + xi / math.sqrt(n))
     a = 2.0 * sigma * math.sqrt(zlog) / math.sqrt(n)
-    candidates = [0.0]
-    # branch where the max is attained at 3x
-    x_quad = _largest_root_sqrt_quadratic(a * math.sqrt(3.0), b)
-    if 3.0 * x_quad >= 4.0 * zd_term * (1 - 1e-12):
-        candidates.append(x_quad)
-    # branch where the max is attained at 4 z d / n
-    x_const = b + a * math.sqrt(4.0 * zd_term)
-    if 3.0 * x_const <= 4.0 * zd_term * (1 + 1e-12):
-        candidates.append(x_const)
-    return max(candidates)
+    return max(0.0, _largest_root_sqrt_quadratic(a * math.sqrt(3.0), b),
+               b + a * math.sqrt(4.0 * zd_term))
 
 
 def calibrated_bound(kind: str, stat, root, n: int, d: int | None = None,

@@ -53,14 +53,15 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def check_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian; return it as complex."""
+def check_hermitian(a) -> np.ndarray:
+    """Validate that ``a`` is square and Hermitian up to ``HERMITIAN_ATOL``
+    relative to its largest entry (at least 1); return it as complex."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > atol * scale:
+    if dev > HERMITIAN_ATOL * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {dev:.3e}")
     return a
 
@@ -208,22 +209,13 @@ def haar_orthonormal_columns(d: int, k: int, rng) -> np.ndarray:
     return q * phases.conj()
 
 
-def random_rank_k_state(d: int, k: int, rng, weights=None) -> np.ndarray:
-    """Random rank-k density matrix: Haar eigenvectors, simplex-uniform weights.
-
-    ``weights`` may be supplied explicitly (length k, nonnegative, summing
-    to one) to pin the spectrum.
-    """
+def random_rank_k_state(d: int, k: int, rng) -> np.ndarray:
+    """Random rank-k density matrix: Haar eigenvectors, simplex-uniform weights."""
     if not 1 <= k <= d:
         raise ValueError(f"rank must be in [1, {d}], got {k}")
     gen = np.random.default_rng(rng)
     cols = haar_orthonormal_columns(d, k, gen)
-    if weights is None:
-        w = gen.dirichlet(np.ones(k))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (k,) or w.min() < 0 or abs(w.sum() - 1.0) > TRACE_ATOL:
-            raise ValueError("weights must be a length-k probability vector")
+    w = gen.dirichlet(np.ones(k))
     return hermitize((cols * w) @ cols.conj().T)
 
 

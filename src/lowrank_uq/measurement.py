@@ -7,8 +7,7 @@ estimated from T +/-1-valued preparations.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .sensing import (
     SensingPlan,
     _kind_token,
     _read_plan_record,
+    _seed_token,
     apply_sampling,
     pauli_coefficients,
 )
@@ -32,8 +32,6 @@ __all__ = [
     "write_batch_csv",
     "read_batch_csv",
 ]
-
-_batch_counter = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,6 @@ class MeasurementBatch:
     y: np.ndarray
     noise: object
     true_state_tag: str | None = None
-    batch_id: int = field(default_factory=lambda: next(_batch_counter))
 
     def __post_init__(self):
         if np.asarray(self.y).shape != (self.plan.n,):
@@ -143,15 +140,20 @@ def measure_bernoulli_pauli(plan: SensingPlan, state, shots: int, rng,
 
 # --- batch CSV ----------------------------------------------------------------
 #
-# Header comment records kind, d, n, noise descriptor and the plan seed; rows
-# are (i, design_index_or_file, y_i).  Gaussian plans are reconstructed from
-# the recorded seed on read.
+# Header comment records kind, d, n, noise descriptor, the plan seed and the
+# true-state tag; rows are (i, design_index_or_file, y_i).  Gaussian plans are
+# reconstructed from the recorded seed on read, so the writer refuses a
+# Gaussian plan without one, and a tag with whitespace, which would split the
+# header item.
 
 def write_batch_csv(batch: MeasurementBatch, path) -> None:
     plan = batch.plan
     kind = _kind_token(plan.ensemble)
-    seed = "-" if plan.seed is None else str(plan.seed)
+    seed = _seed_token(plan)
     tag = batch.true_state_tag or "-"
+    if any(ch.isspace() for ch in tag):
+        raise ValueError(f"true_state_tag {tag!r} contains whitespace, "
+                         "which the batch header cannot hold")
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# kind={kind} d={plan.dim} n={plan.n} "

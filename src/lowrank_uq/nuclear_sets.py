@@ -49,7 +49,6 @@ class EigenvalueEstimate:
 
     lambdas: np.ndarray
     deviation_scale: float
-    source: str | None = None
 
 
 @dataclass(frozen=True)
@@ -82,9 +81,10 @@ def eigenvalue_estimator(second_batch: MeasurementBatch, theta_tilde,
 
         c_v * (r(d) * tau(d) + sqrt(d/n)).
 
-    Passing ``pilot_batch`` asserts the sample-splitting discipline.
+    Passing ``pilot_batch`` asserts the sample-splitting discipline: it
+    must be another batch object than ``second_batch``.
     """
-    if pilot_batch is not None and pilot_batch.batch_id == second_batch.batch_id:
+    if pilot_batch is second_batch:
         raise ValueError("the eigenvalue sample must be independent of the pilot sample")
     theta_tilde = check_hermitian(theta_tilde)
     plan = second_batch.plan
@@ -93,7 +93,7 @@ def eigenvalue_estimator(second_batch: MeasurementBatch, theta_tilde,
     theta_prime = theta_tilde + adjoint_average(plan, residuals)
     lambdas = np.maximum(eigh(theta_prime).eigenvalues, 0.0)
     scale = cfg.c_v * (cfg.rate(d) * rip_rate(d, d, n) + math.sqrt(d / n))
-    return EigenvalueEstimate(lambdas, scale, source=f"batch:{second_batch.batch_id}")
+    return EigenvalueEstimate(lambdas, scale)
 
 
 def select_k_hat(pilot, est: EigenvalueEstimate, rate: RateFunction) -> int:

@@ -59,15 +59,12 @@ class PilotConfig:
     duality gap of its iterate is at most ``gap_tol``; the default 3e-3 keeps
     capped solves of Pauli certificates at d = 32 under 5% (1e-3 leaves
     about a sixth capped), and the objective within 0.3% of its optimum.
-    ``max_iters`` is a safety cap.  ``step_override`` replaces the 1/L step
-    size and exists for diagnostics only (it can make the iteration
-    divergent on purpose).
+    ``max_iters`` is a safety cap.
     """
 
     lambda_scale: float = 1.5
     max_iters: int = 300
     gap_tol: float = 3e-3
-    step_override: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -116,8 +113,15 @@ def _dual_scale(gradient: np.ndarray, lam: float) -> float:
     return 1.0 if norm <= lam else lam / norm
 
 
-def _lipschitz_estimate(plan, iters: int = 80, tol: float = 1e-4,
-                        min_iters: int = 8) -> float:
+# Power iteration of the Lipschitz estimate: at most _POWER_ITERS steps, and
+# it stops once the Rayleigh quotient moves by at most _POWER_RTOL (relative)
+# after at least _POWER_MIN_ITERS steps.
+_POWER_ITERS = 80
+_POWER_RTOL = 1e-4
+_POWER_MIN_ITERS = 8
+
+
+def _lipschitz_estimate(plan) -> float:
     """Power iteration on theta -> (1/n) X^T X theta over the Hermitian space
     of a Gaussian plan."""
     gen = np.random.default_rng(np.random.SeedSequence(0x1F5))
@@ -128,14 +132,15 @@ def _lipschitz_estimate(plan, iters: int = 80, tol: float = 1e-4,
     b = hermitize(b)
     b /= frobenius_norm(b)
     rayleigh = 0.0
-    for it in range(iters):
+    for it in range(_POWER_ITERS):
         tb = adjoint_average(plan, apply_sampling(plan, b))
         new = float(np.real(np.vdot(b, tb)))
         nrm = frobenius_norm(tb)
         if nrm == 0:
             return max(new, 1e-12)
         b = tb / nrm
-        if it >= min_iters and abs(new - rayleigh) <= tol * max(abs(new), 1e-30):
+        if (it >= _POWER_MIN_ITERS
+                and abs(new - rayleigh) <= _POWER_RTOL * max(abs(new), 1e-30)):
             return max(new, 1e-12)
         rayleigh = new
     return max(rayleigh, 1e-12)
@@ -300,7 +305,7 @@ def pilot_estimate(batch: MeasurementBatch, config: PilotConfig = PilotConfig(),
         raise ValueError("empty batch")
     lam = config.lambda_scale * noise_scale(batch) * math.sqrt(d / n)
     ls = _least_squares(batch)
-    step = config.step_override if config.step_override is not None else 1.0 / (1.1 * ls.lipschitz)
+    step = 1.0 / (1.1 * ls.lipschitz)
 
     x = ls.coordinates(np.zeros((d, d), dtype=complex))
     objective = ls.value(x)

@@ -369,11 +369,17 @@ def _kind_token(ensemble: DesignEnsemble) -> str:
     return "pauli"
 
 
-def write_plan(plan: SensingPlan, path) -> None:
-    token = _kind_token(plan.ensemble)
+def _seed_token(plan: SensingPlan) -> str:
+    """The seed field of a plan file or a batch CSV, ``"-"`` when absent;
+    Gaussian plans are re-drawn from it, so theirs must be present."""
     if plan.ensemble.kind == "gaussian" and plan.seed is None:
         raise ValueError("gaussian plans are serialized by seed; this plan has none")
-    seed = "-" if plan.seed is None else str(plan.seed)
+    return "-" if plan.seed is None else str(plan.seed)
+
+
+def write_plan(plan: SensingPlan, path) -> None:
+    token = _kind_token(plan.ensemble)
+    seed = _seed_token(plan)
     with open(path, "w") as fh:
         fh.write(f"{token} {plan.dim} {plan.n} {seed}\n")
         if plan.ensemble.kind == "pauli":

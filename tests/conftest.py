@@ -1,6 +1,7 @@
 """Shared test oracles: independent reference implementations used to freeze
 expected values (power iteration, naive pair sums, Bloch-parametrized grid
-searches for d = 2 projections, rank scans that build every truncation)."""
+searches for d = 2 projections, rank scans that build every truncation, the
+two-branch RSS radius)."""
 
 import math
 
@@ -61,6 +62,32 @@ def loop_rank_reduce(pilot, rate):
         if lq.frobenius_norm(pilot - candidate) <= rate(k) / 2.0 + slack:
             return candidate, k
     raise AssertionError("unreachable: rank-d truncation is exact")
+
+
+def two_branch_rss_radius_sq(stat, n, d, sigma, alpha, z=0.0, error_model="gaussian"):
+    """rss_radius_sq by solving each regime of max(3x, 4 z d / n) on its own
+    and keeping the roots that fall in their regime (up to 1e-12)."""
+    if error_model == "gaussian":
+        xi = lq.chi_square_deviation_quantile(alpha / 3.0, sigma, n)
+        zlog = lq.log_tail_constant(alpha / 3.0)
+    else:
+        xi = zlog = lq.bernoulli_deviation_quantile(alpha / 3.0)
+    zd_term = z * d / n
+    b = 2.0 * (stat + zd_term + xi / math.sqrt(n))
+    a = 2.0 * sigma * math.sqrt(zlog) / math.sqrt(n)
+    candidates = [0.0]
+    # regime where the max is 3x: x = b + a sqrt(3) sqrt(x), a quadratic in sqrt(x)
+    a3 = a * math.sqrt(3.0)
+    disc = a3 * a3 + 4.0 * b
+    root = 0.5 * (a3 + math.sqrt(disc)) if disc >= 0 else 0.0
+    x_quad = root * root
+    if 3.0 * x_quad >= 4.0 * zd_term * (1 - 1e-12):
+        candidates.append(x_quad)
+    # regime where the max is 4 z d / n
+    x_const = b + a * math.sqrt(4.0 * zd_term)
+    if 3.0 * x_const <= 4.0 * zd_term * (1 + 1e-12):
+        candidates.append(x_const)
+    return max(candidates)
 
 
 def power_iteration_opnorm(a, iters=8000, tol=1e-13):

@@ -163,7 +163,7 @@ class TestRunCertificate:
             assert record["pilot_iterations"] == e.pilot_iterations >= 1
             assert record["pilot_converged"] is e.pilot_converged
             assert record["pilot_gap"] == e.pilot_gap
-            assert e.pilot_converged == (e.pilot_gap <= cfg.pilot.gap_tol)
+            assert e.pilot_converged == (e.pilot_gap <= lq.PilotConfig().gap_tol)
 
 
 class TestConfigValidation:

@@ -56,6 +56,21 @@ class TestSimulateCommand:
         cfg.write_text("design : pauli\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    def test_inline_comment_accepted(self, tmp_path):
+        commented = SIM_CONFIG.replace("reps = 30", "reps = 30  # per cell")
+        outputs = []
+        for tag, text in (("plain", SIM_CONFIG), ("commented", commented)):
+            (tmp_path / tag).mkdir()
+            cfg = _write_config(tmp_path / tag, text)
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / tag)]) == 0
+            outputs.append((tmp_path / tag / "tables.csv").read_text())
+        assert outputs[0] == outputs[1]
+
+    def test_line_without_equals_named(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "design = pauli\nreps 30\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "line 2 is not key = value: 'reps 30'" in capsys.readouterr().err
+
     def test_n_grid_below_two_rejected(self, tmp_path, capsys):
         # n = 1 used to fail inside the pair statistic, after the output
         # directory was made

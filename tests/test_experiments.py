@@ -248,3 +248,14 @@ class TestCalibration:
         values = {"rss_c": 1.0, "ustat_c": 2.5, "pilot_D": 4.25}
         lq.save_constants(path, values, header="test")
         assert lq.load_constants(path) == values
+
+    def test_constants_file_inline_comment(self, tmp_path):
+        path = tmp_path / "constants.txt"
+        path.write_text("# header\n\nrss_c = 1.5  # tuned\npilot_D=4.25\n")
+        assert lq.load_constants(path) == {"rss_c": 1.5, "pilot_D": 4.25}
+
+    def test_constants_line_without_equals_named(self, tmp_path):
+        path = tmp_path / "constants.txt"
+        path.write_text("rss_c = 1.5\nustat_c 2.5\n")
+        with pytest.raises(ValueError, match="line 2 is not key = value: 'ustat_c 2.5'"):
+            lq.load_constants(path)

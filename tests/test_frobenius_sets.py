@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import lowrank_uq as lq
 
-from conftest import naive_ustat, naive_ustat_entrywise, random_hermitian
+from conftest import (
+    naive_ustat,
+    naive_ustat_entrywise,
+    random_hermitian,
+    two_branch_rss_radius_sq,
+)
 
 
 class TestQuantiles:
@@ -150,6 +155,24 @@ class TestRssConfidenceSet:
     def test_radius_clamped_at_zero(self):
         x = lq.rss_radius_sq(-50.0, 100, 2, 0.1, 0.05, z=0.0)
         assert x == 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stat=st.floats(min_value=-3.0, max_value=5.0),
+           n=st.integers(min_value=1, max_value=10_000),
+           d=st.integers(min_value=1, max_value=64),
+           sigma=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=5.0)),
+           alpha=st.floats(min_value=1e-3, max_value=0.9),
+           z=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=200.0)),
+           error_model=st.sampled_from(["gaussian", "bernoulli"]))
+    def test_closed_form_matches_two_branch_oracle(self, stat, n, d, sigma, alpha, z,
+                                                   error_model):
+        got = lq.rss_radius_sq(stat, n, d, sigma, alpha, z=z, error_model=error_model)
+        want = two_branch_rss_radius_sq(stat, n, d, sigma, alpha, z, error_model)
+        if sigma > 0:
+            assert got == want
+        else:
+            # the oracle returns b as (sqrt(b))^2, which may be one ulp off
+            assert abs(got - want) <= math.ulp(max(got, want))
 
 
 def _calibrated_radius(kind, stat, n, d=None):

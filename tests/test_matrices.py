@@ -241,10 +241,6 @@ class TestRandomStates:
         rho = lq.random_rank_k_state(5, 1, rng)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
 
-    def test_uniform_weights_full_rank_is_maximally_mixed(self, rng):
-        rho = lq.random_rank_k_state(4, 4, rng, weights=np.full(4, 0.25))
-        assert_allclose(rho, np.eye(4) / 4, atol=1e-10)
-
     def test_rank_two_has_two_eigenvalues(self, rng):
         rho = lq.random_rank_k_state(4, 2, rng)
         lam = np.linalg.eigvalsh(rho)

@@ -192,7 +192,30 @@ class TestBatchCsv:
         assert np.array_equal(back.plan.matrices, plan.matrices)
 
     def test_distinct_batch_identities(self, rng):
+        # the sample-splitting check tells batches apart by identity: the
+        # same object is rejected, another one with equal content is not
         plan = lq.draw_plan(lq.pauli_design(1), 5, 1)
         a = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)
-        b = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)
-        assert a.batch_id != b.batch_id
+        b = lq.MeasurementBatch(a.plan, a.y.copy(), a.noise)
+        cfg = lq.NuclearSetConfig(C=1.0, c_v=1.0, rate=lq.RateFunction(1.0, 0.1, 2, 5))
+        with pytest.raises(ValueError, match="independent"):
+            lq.eigenvalue_estimator(a, np.eye(2) / 2, cfg, pilot_batch=a)
+        est = lq.eigenvalue_estimator(a, np.eye(2) / 2, cfg, pilot_batch=b)
+        assert est.lambdas.shape == (2,)
+
+    def test_seedless_gaussian_batch_refused(self, tmp_path):
+        # such a plan cannot be re-drawn on read; write_plan refuses it too
+        plan = lq.draw_plan(lq.gaussian_design(2), 3, np.random.default_rng(0))
+        batch = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, 1)
+        path = tmp_path / "batch.csv"
+        with pytest.raises(ValueError, match="has none"):
+            lq.write_batch_csv(batch, path)
+        assert not path.exists()
+
+    def test_tag_with_whitespace_refused(self, tmp_path):
+        plan = lq.draw_plan(lq.pauli_design(1), 3, 1)
+        batch = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, 1, tag="state a")
+        path = tmp_path / "batch.csv"
+        with pytest.raises(ValueError, match="'state a'"):
+            lq.write_batch_csv(batch, path)
+        assert not path.exists()

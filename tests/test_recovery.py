@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lowrank_uq as lq
+from lowrank_uq import recovery
 from lowrank_uq.recovery import _least_squares, _relative_gap
 
 from conftest import (
@@ -128,14 +129,22 @@ class TestPilotEstimate:
         assert capped.iterations == 2 and not capped.converged
         assert capped.gap > lq.PilotConfig().gap_tol
 
-    def test_divergence_detector(self, rng):
+    def test_divergence_detector(self, rng, monkeypatch):
         rho = lq.random_rank_k_state(4, 1, rng)
         plan = lq.draw_plan(lq.gaussian_design(4), 50, 3)
         state = np.diag([1.0, 0, 0, 0]).astype(complex)
         batch = lq.measure_gaussian(plan, state, 0.1, rng)
-        bad = lq.PilotConfig(step_override=50.0)  # far beyond 1/L
+
+        def understated(batch):
+            # a Lipschitz constant for which the step 1 / (1.1 L) is 50, far
+            # beyond 1/L
+            ls = _least_squares(batch)
+            ls.lipschitz = 1.0 / (1.1 * 50.0)
+            return ls
+
+        monkeypatch.setattr(recovery, "_least_squares", understated)
         with pytest.raises(lq.SolverDivergenceError):
-            lq.pilot_estimate(batch, bad)
+            lq.pilot_estimate(batch)
 
     def test_result_is_hermitian(self, rng):
         rho = lq.random_rank_k_state(4, 2, rng)

@@ -1,7 +1,11 @@
 """The benchmark harness traces package functions by name: every name that
-``perfbench/tracing.py`` lists must exist, or a traced run fails."""
+``perfbench/tracing.py`` lists must exist, or a traced run fails.  It also
+reads two parameters of ``pilot_estimate``: it forces ``return_info`` and
+reads ``max_iters`` from ``config`` (the default when the caller passes
+none)."""
 
 import importlib
+import inspect
 import importlib.util
 import sys
 from pathlib import Path
@@ -19,3 +23,11 @@ def test_traced_functions_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{mod}"), fn, None))
     ]
     assert tracing.LAYERS and not missing
+
+
+def test_pilot_estimate_keeps_the_traced_parameters():
+    from lowrank_uq.recovery import pilot_estimate
+
+    params = inspect.signature(pilot_estimate).parameters
+    assert "return_info" in params
+    assert isinstance(params["config"].default.max_iters, int)
