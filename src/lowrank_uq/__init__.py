@@ -92,7 +92,6 @@ from .sensing import (
     apply_sampling,
     draw_paired_plan,
     draw_plan,
-    empirical_rip,
     full_basis_plan,
     gaussian_design,
     index_to_word,
@@ -100,9 +99,7 @@ from .sensing import (
     pauli_basis_element,
     pauli_coefficients,
     pauli_design,
-    random_rank_k_direction,
     read_plan,
-    rip_statistic,
     word_to_index,
     write_plan,
 )

@@ -30,7 +30,7 @@ from .sensing import DesignEnsemble, draw_plan, pauli_design
 
 __all__ = [
     "CalibrationError",
-    "coverage_curve",
+    "PilotFixture",
     "calibrate_ball_constant",
     "calibrate_pilot_risk",
     "calibrate_nuclear",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,20 +103,7 @@ class Certificate:
             "epsilon": self.epsilon,
             "delta": self.delta,
             "constants": self.constants_regime,
-            "epochs": [
-                {
-                    "m": e.m,
-                    "budget": e.budget,
-                    "method": e.method,
-                    "alpha": e.alpha,
-                    "statistic": e.statistic,
-                    "diameter": e.diameter,
-                    "pilot_iterations": e.pilot_iterations,
-                    "pilot_converged": e.pilot_converged,
-                    "pilot_gap": e.pilot_gap,
-                }
-                for e in self.epochs
-            ],
+            "epochs": [asdict(e) for e in self.epochs],
         }
         return json.dumps(payload, sort_keys=True)
 

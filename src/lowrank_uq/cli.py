@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import run_calibration
-from .certificates import CertificateConfig, run_certificate
+from .certificates import CertificateConfig, EpochRecord, run_certificate
 from .constants_io import _read_key_values
 from .experiments import ExperimentSpec, merged_table_rows, result_rows_csv, run_experiment
 from .matrices import frobenius_norm, random_rank_k_state
 from .measurement import BernoulliPauliNoise, GaussianNoise
+from .reports import _record_csv_lines
 from .sensing import _num_qubits, gaussian_design, pauli_design
 
 SEED_ENV_VAR = "LOWRANK_UQ_SEED"
@@ -102,23 +103,23 @@ def _cmd_certify(args) -> int:
         epsilon=args.eps, delta=args.delta, ensemble=ensemble, noise=noise,
         constants_regime=args.constants,
     )
+    # the log is appended to, so an existing one must have this header
+    header = "seed,d,rank," + _record_csv_lines(EpochRecord, ())[0]
+    log = Path(args.epoch_log)
+    existing = log.read_text() if log.exists() else ""
+    if existing and existing.partition("\n")[0] != header:
+        raise ValueError(f"epoch log {log} has another header than {header!r}")
+
     root = np.random.default_rng(np.random.SeedSequence((seed, 0xCE27)))
     state = random_rank_k_state(args.d, args.rank, root)
     cert = run_certificate(state, cfg, root)
     print(cert.to_json())
 
-    log = Path(args.epoch_log)
-    new_file = not log.exists()
     with open(log, "a") as fh:
-        if new_file:
-            fh.write("seed,d,rank,m,budget,n_half,method,alpha,statistic,radius_sq,diameter,"
-                     "pilot_iterations,pilot_converged,pilot_gap\n")
-        for e in cert.epochs:
-            fh.write(
-                f"{seed},{args.d},{args.rank},{e.m},{e.budget},{e.n_half},{e.method},"
-                f"{e.alpha:.17g},{e.statistic:.17g},{e.radius_sq:.17g},{e.diameter:.17g},"
-                f"{e.pilot_iterations},{int(e.pilot_converged)},{e.pilot_gap:.17g}\n"
-            )
+        if not existing:
+            fh.write(header + "\n")
+        for row in _record_csv_lines(EpochRecord, cert.epochs)[1:]:
+            fh.write(f"{seed},{args.d},{args.rank},{row}\n")
     err = frobenius_norm(cert.theta_hat - state)
     print(f"# recovery error {err:.6g}, target {args.eps:g}", file=sys.stderr)
     return 0 if cert.stopped else 2

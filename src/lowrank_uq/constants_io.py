@@ -8,8 +8,9 @@ __all__ = ["save_constants", "load_constants"]
 
 def _read_key_values(path) -> dict:
     """The key = value pairs of the file as stripped strings; a line without
-    '=' raises ValueError naming it."""
+    '=' or a key given twice raises ValueError naming the line(s)."""
     out = {}
+    lines = {}
     with open(path) as fh:
         for number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -18,7 +19,12 @@ def _read_key_values(path) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path} line {number} is not key = value: {raw.strip()!r}")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ValueError(f"{path} line {number} repeats key {key!r} "
+                                 f"of line {lines[key]}")
+            lines[key] = number
+            out[key] = value.strip()
     return out
 
 

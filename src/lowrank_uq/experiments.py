@@ -41,6 +41,7 @@ import numpy as np
 
 from .frobenius_sets import calibrated_bound, rss_statistic, ustat_statistic
 from .measurement import measure_gaussian
+from .reports import _record_csv_lines
 from .sensing import _num_qubits, draw_plan, index_to_word, pauli_basis_element, pauli_design
 
 __all__ = [
@@ -50,14 +51,12 @@ __all__ = [
     "run_experiment",
     "result_rows_csv",
     "merged_table_rows",
-    "METHODS",
 ]
 
 METHODS = ("UStat", "RSS")
 
 _DESIGN_CODE = {"gaussian": 0, "pauli": 1}
 _ERROR_KIND_CODE = {"dirac": 0, "pauli": 1}
-_METHOD_CODE = {"UStat": 0, "RSS": 1}
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def _replication_seed(spec: ExperimentSpec, method: str, n: int, rep: int):
             _DESIGN_CODE[spec.design],
             _ERROR_KIND_CODE[spec.error_kind],
             int(round(spec.error_norm_sq * 10**9)),
-            _METHOD_CODE[method],
+            METHODS.index(method),
             n,
             rep,
         )
@@ -166,7 +165,7 @@ def replication_statistic(spec: ExperimentSpec, method: str, n: int, rep: int) -
     """One replication, statistic at center 0: Gaussian designs from scalar
     draws (module docstring), Pauli designs from a fresh error matrix, plan
     and noise."""
-    if method not in _METHOD_CODE:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     gen = np.random.default_rng(_replication_seed(spec, method, n, rep))
     if spec.design == "gaussian" and method == "RSS":
@@ -241,17 +240,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     return rows
 
 
-RESULT_CSV_HEADER = "method,n,error_norm_sq,coverage,mean_diameter,median_norm_err,q05,q95"
-
-
 def result_rows_csv(rows) -> str:
-    lines = [RESULT_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.method},{r.n},{r.error_norm_sq:.17g},{r.coverage:.17g},"
-            f"{r.mean_diameter:.17g},{r.median_norm_err:.17g},{r.q05:.17g},{r.q95:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(_record_csv_lines(ResultRow, rows)) + "\n"
 
 
 def merged_table_rows(spec: ExperimentSpec, rows) -> list:

@@ -15,6 +15,7 @@ from .matrices import check_hermitian
 from .sensing import (
     SensingPlan,
     _kind_token,
+    _plan_size,
     _read_plan_record,
     _seed_token,
     apply_sampling,
@@ -71,7 +72,6 @@ class MeasurementBatch:
     plan: SensingPlan
     y: np.ndarray
     noise: object
-    true_state_tag: str | None = None
 
     def __post_init__(self):
         if np.asarray(self.y).shape != (self.plan.n,):
@@ -95,16 +95,14 @@ def noise_scale(batch: MeasurementBatch) -> float:
     raise TypeError(f"unknown noise model {batch.noise!r}")
 
 
-def measure_gaussian(plan: SensingPlan, theta, sigma: float, rng,
-                     tag: str | None = None) -> MeasurementBatch:
+def measure_gaussian(plan: SensingPlan, theta, sigma: float, rng) -> MeasurementBatch:
     """y_i = tr(X^i theta) + eps_i with eps_i i.i.d. N(0, sigma^2)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    noise = GaussianNoise(sigma)
     theta = check_hermitian(theta)
     gen = np.random.default_rng(rng)
     clean = apply_sampling(plan, theta)
     y = clean if sigma == 0 else clean + sigma * gen.standard_normal(plan.n)
-    return MeasurementBatch(plan, y, GaussianNoise(sigma), tag)
+    return MeasurementBatch(plan, y, noise)
 
 
 def pauli_outcome_probabilities(plan: SensingPlan, state) -> np.ndarray:
@@ -117,8 +115,7 @@ def pauli_outcome_probabilities(plan: SensingPlan, state) -> np.ndarray:
     return 0.5 * (1.0 + np.sqrt(d) * coeffs)
 
 
-def measure_bernoulli_pauli(plan: SensingPlan, state, shots: int, rng,
-                            tag: str | None = None) -> MeasurementBatch:
+def measure_bernoulli_pauli(plan: SensingPlan, state, shots: int, rng) -> MeasurementBatch:
     """Quantum measurement channel: y_i = (sqrt(d)/T) sum_j B_ij.
 
     The signs B_ij are +/-1 with success probability (1 + sqrt(d) tr(E_i
@@ -135,30 +132,24 @@ def measure_bernoulli_pauli(plan: SensingPlan, state, shots: int, rng,
     gen = np.random.default_rng(rng)
     successes = gen.binomial(shots, np.clip(p, 0.0, 1.0))
     y = np.sqrt(plan.dim) * (2.0 * successes - shots) / shots
-    return MeasurementBatch(plan, y, noise, tag)
+    return MeasurementBatch(plan, y, noise)
 
 
 # --- batch CSV ----------------------------------------------------------------
 #
-# Header comment records kind, d, n, noise descriptor, the plan seed and the
-# true-state tag; rows are (i, design_index_or_file, y_i).  Gaussian plans are
-# reconstructed from the recorded seed on read, so the writer refuses a
-# Gaussian plan without one, and a tag with whitespace, which would split the
-# header item.
+# Header comment records kind, d, n, noise descriptor and the plan seed; rows
+# are (i, design_index_or_file, y_i).  Gaussian plans are reconstructed from
+# the recorded seed on read, so the writer refuses a Gaussian plan without
+# one.  The reader ignores header keys it does not use, such as the ``tag=``
+# that older files carry.
 
 def write_batch_csv(batch: MeasurementBatch, path) -> None:
     plan = batch.plan
     kind = _kind_token(plan.ensemble)
     seed = _seed_token(plan)
-    tag = batch.true_state_tag or "-"
-    if any(ch.isspace() for ch in tag):
-        raise ValueError(f"true_state_tag {tag!r} contains whitespace, "
-                         "which the batch header cannot hold")
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# kind={kind} d={plan.dim} n={plan.n} "
-            f"noise={batch.noise.descriptor()} seed={seed} tag={tag}\n"
-        )
+        fh.write(f"# kind={kind} d={plan.dim} n={plan.n} "
+                 f"noise={batch.noise.descriptor()} seed={seed}\n")
         fh.write("i,design_index_or_file,y_i\n")
         for i in range(plan.n):
             ref = str(int(plan.indices[i])) if kind == "pauli" else "-"
@@ -197,11 +188,9 @@ def read_batch_csv(path) -> MeasurementBatch:
                     raise ValueError(f"batch row at line {number} has {len(fields)} "
                                      f"fields, expected 3: {line.strip()!r}")
                 rows.append(fields)
-    if len(rows) != int(meta["n"]):
+    if len(rows) != _plan_size(meta["n"]):
         raise ValueError(f"expected {meta['n']} rows, found {len(rows)}")
     plan = _read_plan_record(meta["kind"], meta["d"], meta["n"], meta["seed"],
                              [r[1] for r in rows if r[1] != "-"])
     y = np.array([float(r[2]) for r in rows])
-    noise = _parse_noise(meta["noise"])
-    tag = None if meta.get("tag", "-") == "-" else meta["tag"]
-    return MeasurementBatch(plan, y, noise, tag)
+    return MeasurementBatch(plan, y, _parse_noise(meta["noise"]))

@@ -29,6 +29,7 @@ from .matrices import (
     best_rank_k,
     frobenius_norm,
     hermitize,
+    operator_norm,
     project_state_space,
 )
 from .measurement import MeasurementBatch, noise_scale
@@ -109,7 +110,7 @@ def _soft_threshold_eigenvalues(a: np.ndarray, tau: float):
 def _dual_scale(gradient: np.ndarray, lam: float) -> float:
     """min(1, lam / ||G||_op) for the gradient matrix G: the largest s <= 1
     for which s times the gradient is dual feasible."""
-    norm = float(np.abs(np.linalg.eigvalsh(gradient)).max())
+    norm = operator_norm(gradient)
     return 1.0 if norm <= lam else lam / norm
 
 

@@ -1,8 +1,8 @@
-"""Confidence set reports."""
+"""Confidence set reports, and the CSV form of the package's records."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,3 +44,20 @@ class ConfidenceReport:
     def contains(self, v) -> bool:
         return self.distance_sq(v) <= self.radius_sq
 
+
+def _csv_field(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _record_csv_lines(cls, records) -> list:
+    """CSV lines of dataclass ``records`` of type ``cls``: a header of the
+    field names, then one line per record with its fields in field order
+    (bool as 0/1, float as ``.17g``, anything else as ``str``)."""
+    names = [f.name for f in fields(cls)]
+    return [",".join(names)] + [
+        ",".join(_csv_field(getattr(r, name)) for name in names) for r in records
+    ]

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import frobenius_norm, haar_orthonormal_columns, hermitize
+from .matrices import hermitize
 from .tolerances import REAL_IMAG_ATOL
 
 __all__ = [
-    "PAULI_MATRICES",
     "DesignEnsemble",
     "SensingPlan",
     "gaussian_design",
@@ -38,9 +37,6 @@ __all__ = [
     "full_basis_plan",
     "apply_sampling",
     "adjoint_average",
-    "rip_statistic",
-    "empirical_rip",
-    "random_rank_k_direction",
     "write_plan",
     "read_plan",
 ]
@@ -161,9 +157,6 @@ class DesignEnsemble:
         ``"gaussian"`` or ``"pauli"``.
     dim
         Matrix dimension d (a power of two for Pauli).
-    coherence
-        Operator-norm bound constant K with ||E_j||_op <= K / sqrt(d); equals
-        1 for the Pauli basis.
     hermitian
         Gaussian only: draw complex Hermitian matrices with unit entry
         variance instead of real i.i.d. entries.  Required when sensing
@@ -172,7 +165,6 @@ class DesignEnsemble:
 
     kind: str
     dim: int
-    coherence: float = 1.0
     hermitian: bool = False
 
     def __post_init__(self):
@@ -191,13 +183,19 @@ class DesignEnsemble:
             raise ValueError("num_qubits is defined for Pauli designs only")
         return _num_qubits(self.dim)
 
+    @property
+    def coherence(self) -> float:
+        """Operator-norm bound constant K with ||E_j||_op <= K / sqrt(d): 1 for
+        the Pauli basis, undefined (NaN) for Gaussian designs."""
+        return 1.0 if self.kind == "pauli" else float("nan")
+
 
 def gaussian_design(dim: int, hermitian: bool = False) -> DesignEnsemble:
-    return DesignEnsemble("gaussian", dim, coherence=float("nan"), hermitian=hermitian)
+    return DesignEnsemble("gaussian", dim, hermitian=hermitian)
 
 
 def pauli_design(num_qubits: int) -> DesignEnsemble:
-    return DesignEnsemble("pauli", 2**num_qubits, coherence=1.0)
+    return DesignEnsemble("pauli", 2**num_qubits)
 
 
 @dataclass(frozen=True)
@@ -322,42 +320,6 @@ def _pauli_synthesis(weights: np.ndarray, num_qubits: int) -> np.ndarray:
     return m.transpose(_DEINTERLEAVE[num_qubits]).reshape(2**num_qubits, 2**num_qubits)
 
 
-def rip_statistic(plan: SensingPlan, theta) -> float:
-    """Relative isometry defect |(1/n)||X theta||^2 - ||theta||_F^2| / ||theta||_F^2."""
-    fsq = frobenius_norm(theta) ** 2
-    if fsq == 0:
-        raise ValueError("isometry defect is undefined at theta = 0")
-    vals = apply_sampling(plan, theta)
-    return abs(float(np.mean(vals**2)) / fsq - 1.0)
-
-
-def random_rank_k_direction(d: int, k: int, rng) -> np.ndarray:
-    """Random rank-k Hermitian matrix with unit Frobenius norm."""
-    gen = np.random.default_rng(rng)
-    cols = haar_orthonormal_columns(d, k, gen)
-    lam = gen.standard_normal(k)
-    lam /= np.linalg.norm(lam)
-    return hermitize((cols * lam) @ cols.conj().T)
-
-
-def empirical_rip(ensemble: DesignEnsemble, n: int, k: int, trials: int, rng) -> float:
-    """Monte-Carlo lower bound on the rank-k restricted isometry constant.
-
-    One plan is drawn and shared across ``trials`` random rank-k unit-norm
-    matrices; the exact supremum over the rank-k manifold is intractable, so
-    the returned maximum is a lower bound on it.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    gen = np.random.default_rng(rng)
-    plan = draw_plan(ensemble, n, gen)
-    worst = 0.0
-    for _ in range(trials):
-        theta = random_rank_k_direction(ensemble.dim, k, gen)
-        worst = max(worst, rip_statistic(plan, theta))
-    return worst
-
-
 # --- plan serialization -------------------------------------------------------
 #
 # Header line "kind d n seed"; Pauli plans then list one index per line, while
@@ -387,6 +349,14 @@ def write_plan(plan: SensingPlan, path) -> None:
                 fh.write(f"{int(j)}\n")
 
 
+def _plan_size(n: str) -> int:
+    """The draw count of a plan file or a batch CSV, which must be >= 1."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"a plan needs at least one draw, got n = {n}")
+    return n
+
+
 def _read_plan_record(token: str, d: str, n: str, seed: str, indices) -> SensingPlan:
     """Plan from the text fields that a plan file or a batch CSV records.
 
@@ -395,7 +365,7 @@ def _read_plan_record(token: str, d: str, n: str, seed: str, indices) -> Sensing
     """
     if token not in ("gaussian", "gaussian-hermitian", "pauli"):
         raise ValueError(f"unknown design kind {token!r}")
-    d, n = int(d), int(n)
+    d, n = int(d), _plan_size(n)
     seed = None if seed == "-" else int(seed)
     expected = n if token == "pauli" else 0
     if len(indices) != expected:

@@ -151,6 +151,7 @@ class TestRunCertificate:
         assert all(e.diameter <= 2.0 for e in cert.epochs)
 
     def test_json_payload(self, rng):
+        import dataclasses
         import json
 
         cfg = _pauli_cfg()
@@ -160,6 +161,8 @@ class TestRunCertificate:
         assert payload["n_hat"] == cert.n_hat
         assert len(payload["epochs"]) == len(cert.epochs)
         for record, e in zip(payload["epochs"], cert.epochs):
+            # each epoch is written from its own fields, all of them
+            assert record == dataclasses.asdict(e)
             assert record["pilot_iterations"] == e.pilot_iterations >= 1
             assert record["pilot_converged"] is e.pilot_converged
             assert record["pilot_gap"] == e.pilot_gap

@@ -71,6 +71,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "line 2 is not key = value: 'reps 30'" in capsys.readouterr().err
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, SIM_CONFIG + "reps = 20\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "line 11 repeats key 'reps' of line 7" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_n_grid_below_two_rejected(self, tmp_path, capsys):
         # n = 1 used to fail inside the pair statistic, after the output
         # directory was made
@@ -113,6 +120,25 @@ class TestCertifyCommand:
         assert all((row[-2] == "1") == (float(row[-1]) <= lq.PilotConfig().gap_tol)
                    for row in rows)
         assert len(log) == 1 + len(payload["epochs"])
+
+    def test_empty_epoch_log_gets_the_header(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = ["certify", "--d", "4", "--eps", "0.5", "--seed", "7"]
+        assert main(args) == 0
+        fresh = (tmp_path / "certify_epochs.csv").read_text()
+        (tmp_path / "certify_epochs.csv").write_text("")
+        assert main(args) == 0
+        assert (tmp_path / "certify_epochs.csv").read_text() == fresh
+
+    def test_epoch_log_with_another_header_refused(self, tmp_path, capsys, monkeypatch):
+        # the header of logs written before the pilot gap was recorded
+        monkeypatch.chdir(tmp_path)
+        old = ("seed,d,rank,m,budget,n_half,method,alpha,statistic,radius_sq,diameter,"
+               "pilot_iterations,pilot_converged\n7,4,1,1,4,2,RSS,0.1,0.5,1,1,3,1\n")
+        (tmp_path / "certify_epochs.csv").write_text(old)
+        assert main(["certify", "--d", "4", "--eps", "0.5", "--seed", "7"]) == 1
+        assert "another header" in capsys.readouterr().err
+        assert (tmp_path / "certify_epochs.csv").read_text() == old
 
     def test_bernoulli_noise_flag(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

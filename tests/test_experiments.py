@@ -254,6 +254,12 @@ class TestCalibration:
         path.write_text("# header\n\nrss_c = 1.5  # tuned\npilot_D=4.25\n")
         assert lq.load_constants(path) == {"rss_c": 1.5, "pilot_D": 4.25}
 
+    def test_constants_repeated_key_named(self, tmp_path):
+        path = tmp_path / "constants.txt"
+        path.write_text("rss_c = 1.5\n# tuned again\nrss_c = 2.5\n")
+        with pytest.raises(ValueError, match="line 3 repeats key 'rss_c' of line 1"):
+            lq.load_constants(path)
+
     def test_constants_line_without_equals_named(self, tmp_path):
         path = tmp_path / "constants.txt"
         path.write_text("rss_c = 1.5\nustat_c 2.5\n")

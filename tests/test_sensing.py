@@ -49,6 +49,11 @@ class TestPauliBasis:
         for el in basis:
             assert lq.operator_norm(el) <= bound + 1e-12
 
+    def test_coherence_follows_kind(self):
+        assert lq.pauli_design(2).coherence == 1.0
+        assert np.isnan(lq.gaussian_design(4).coherence)
+        assert lq.gaussian_design(4) == lq.gaussian_design(4)
+
     def test_word_index_roundtrip(self):
         for idx in (0, 1, 5, 63):
             assert lq.word_to_index(lq.index_to_word(idx, 3)) == idx
@@ -238,29 +243,12 @@ class TestExpectedIsometry:
             acc += float(np.mean(lq.apply_sampling(plan, theta) ** 2))
         assert acc / plans == pytest.approx(fsq, rel=0.02)
 
-
-class TestEmpiricalRip:
-    def test_full_basis_parseval_is_exact(self):
-        ens = lq.pauli_design(2)
-        plan = lq.full_basis_plan(ens, 3)
-        theta = np.eye(4) / 2.0  # unit Frobenius norm
-        assert lq.rip_statistic(plan, theta) <= 1e-12
-
-    def test_deterministic_under_fixed_seed(self):
-        ens = lq.pauli_design(2)
-        a = lq.empirical_rip(ens, 64, 1, trials=5, rng=123)
-        b = lq.empirical_rip(ens, 64, 1, trials=5, rng=123)
-        assert a == b
-
-    def test_decays_with_sample_size(self):
-        ens = lq.pauli_design(2)
-        vals = [lq.empirical_rip(ens, n, 1, trials=20, rng=5) for n in (100, 1000, 10000)]
-        assert vals[0] > vals[1] > vals[2]
-        assert vals[0] / vals[2] >= 3.0  # roughly 1/sqrt(n) scaling across two decades
-
-    def test_needs_trials(self):
-        with pytest.raises(ValueError):
-            lq.empirical_rip(lq.pauli_design(1), 4, 1, trials=0, rng=0)
+    def test_full_basis_is_exact(self, rng):
+        # every index measured 3 times: (1/n) ||X(theta)||^2 = ||theta||_F^2
+        plan = lq.full_basis_plan(lq.pauli_design(2), 3)
+        for theta in (np.eye(4) / 2.0, random_hermitian(4, rng)):
+            fsq = lq.frobenius_norm(theta) ** 2
+            assert abs(np.mean(lq.apply_sampling(plan, theta) ** 2) / fsq - 1.0) <= 1e-12
 
 
 class TestPlanSerialization:
@@ -307,6 +295,15 @@ class TestPlanSerialization:
         path = tmp_path / "plan.txt"
         path.write_text(f"pauli 4 3 -\n{lines}")
         with pytest.raises(ValueError, match="3 indices"):
+            lq.read_plan(path)
+
+    @pytest.mark.parametrize("kind, n", [("pauli", 0), ("pauli", -1), ("gaussian", 0),
+                                         ("gaussian", -1)])
+    def test_size_below_one_rejected(self, tmp_path, kind, n):
+        # an empty plan would pass the index count; draw_plan refuses one
+        path = tmp_path / "plan.txt"
+        path.write_text(f"{kind} 4 {n} 7\n")
+        with pytest.raises(ValueError, match=f"n = {n}"):
             lq.read_plan(path)
 
     def test_gaussian_plan_with_index_lines_rejected(self, tmp_path):

@@ -2,12 +2,15 @@
 ``perfbench/tracing.py`` lists must exist, or a traced run fails.  It also
 reads two parameters of ``pilot_estimate``: it forces ``return_info`` and
 reads ``max_iters`` from ``config`` (the default when the caller passes
-none)."""
+none).  The package exports exactly the names its modules list in
+``__all__``."""
 
 import importlib
 import inspect
 import importlib.util
+import pkgutil
 import sys
+import types
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -31,3 +34,14 @@ def test_pilot_estimate_keeps_the_traced_parameters():
     params = inspect.signature(pilot_estimate).parameters
     assert "return_info" in params
     assert isinstance(params["config"].default.max_iters, int)
+
+
+def test_exports_match_module_all():
+    import lowrank_uq
+
+    listed = set()
+    for info in pkgutil.iter_modules(lowrank_uq.__path__):
+        listed.update(getattr(importlib.import_module(f"lowrank_uq.{info.name}"), "__all__", ()))
+    exported = {name for name, value in vars(lowrank_uq).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == listed
