@@ -53,8 +53,6 @@ from .matrices import (
     project_state_space,
     project_to_simplex,
     random_rank_k_state,
-    read_matrix_text,
-    write_matrix_text,
 )
 from .measurement import (
     BernoulliPauliNoise,
@@ -64,8 +62,6 @@ from .measurement import (
     measure_gaussian,
     noise_scale,
     pauli_outcome_probabilities,
-    read_batch_csv,
-    write_batch_csv,
 )
 from .nuclear_sets import (
     EigenvalueEstimate,
@@ -99,9 +95,7 @@ from .sensing import (
     pauli_basis_element,
     pauli_coefficients,
     pauli_design,
-    read_plan,
     word_to_index,
-    write_plan,
 )
 
 __version__ = "0.1.0"

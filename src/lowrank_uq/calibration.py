@@ -164,8 +164,14 @@ def run_calibration(seed: int, out_path, targets=("rss", "ustat", "nuclear"),
     Fixtures: the ball constants are calibrated on the isotropic design with
     a random one-entry error of squared norm 0.1 at n in {100, 500}; the
     nuclear-set constants on the Pauli design at d = 16, rank 2, sigma = 0.1,
-    n = 8192.
+    n = 8192.  ``targets`` names at least one of rss, ustat and nuclear.
     """
+    if not targets:
+        raise ValueError("no calibration target; choose from rss, ustat, nuclear")
+    for name in targets:
+        if name not in ("rss", "ustat", "nuclear"):
+            raise ValueError(f"unknown calibration target {name!r}; "
+                             "choose from rss, ustat, nuclear")
     constants = {}
     grid = np.round(np.arange(0.25, 6.01, 0.25), 2)
     fixture = ExperimentSpec(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -17,8 +16,6 @@ from .matrices import frobenius_norm, random_rank_k_state
 from .measurement import BernoulliPauliNoise, GaussianNoise
 from .reports import _record_csv_lines
 from .sensing import _num_qubits, gaussian_design, pauli_design
-
-SEED_ENV_VAR = "LOWRANK_UQ_SEED"
 
 
 def _split_list(value: str) -> list:
@@ -37,7 +34,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"unknown config key {key!r}")
     if cfg.get("constants", "simulation") != "simulation":
         raise ValueError(f"config key 'constants' must be simulation, got {cfg['constants']!r}")
-    seed = int(os.environ.get(SEED_ENV_VAR, cfg.get("seed", "1")))
+    seed = int(cfg.get("seed", "1"))
     designs = _split_list(cfg.get("design", "gaussian"))
     error_kinds = _split_list(cfg.get("eta", "dirac"))
     norms = [float(v) for v in _split_list(cfg.get("R", "0.1"))]
@@ -82,9 +79,11 @@ def _cmd_calibrate(args) -> int:
 
 
 def _parse_noise(token: str, sigma: float):
+    if token == "gaussian":
+        return GaussianNoise(sigma)
     head, _, value = token.partition(":")
     if head == "gaussian":
-        return GaussianNoise(sigma)
+        raise ValueError(f"gaussian noise takes no suffix (sigma is --sigma), got {token!r}")
     if head == "bernoulli":
         if not value:
             raise ValueError("bernoulli noise needs a preparation count, e.g. bernoulli:64")
@@ -93,7 +92,6 @@ def _parse_noise(token: str, sigma: float):
 
 
 def _cmd_certify(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV_VAR, "1"))
     if args.design == "pauli":
         ensemble = pauli_design(_num_qubits(args.d))
     else:
@@ -110,7 +108,7 @@ def _cmd_certify(args) -> int:
     if existing and existing.partition("\n")[0] != header:
         raise ValueError(f"epoch log {log} has another header than {header!r}")
 
-    root = np.random.default_rng(np.random.SeedSequence((seed, 0xCE27)))
+    root = np.random.default_rng(np.random.SeedSequence((args.seed, 0xCE27)))
     state = random_rank_k_state(args.d, args.rank, root)
     cert = run_certificate(state, cfg, root)
     print(cert.to_json())
@@ -119,7 +117,7 @@ def _cmd_certify(args) -> int:
         if not existing:
             fh.write(header + "\n")
         for row in _record_csv_lines(EpochRecord, cert.epochs)[1:]:
-            fh.write(f"{seed},{args.d},{args.rank},{row}\n")
+            fh.write(f"{args.seed},{args.d},{args.rank},{row}\n")
     err = frobenius_norm(cert.theta_hat - state)
     print(f"# recovery error {err:.6g}, target {args.eps:g}", file=sys.stderr)
     return 0 if cert.stopped else 2
@@ -157,7 +155,7 @@ def main(argv=None) -> int:
                         help="gaussian (uses --sigma) or bernoulli:T")
     p_cert.add_argument("--constants", choices=("theory", "simulation"),
                         default="simulation")
-    p_cert.add_argument("--seed", type=int, default=None)
+    p_cert.add_argument("--seed", type=int, default=1)
     p_cert.add_argument("--epoch-log", default="certify_epochs.csv")
     p_cert.set_defaults(func=_cmd_certify)
 

@@ -38,8 +38,6 @@ __all__ = [
     "project_rank_k_state_space",
     "random_rank_k_state",
     "haar_orthonormal_columns",
-    "write_matrix_text",
-    "read_matrix_text",
 ]
 
 
@@ -217,46 +215,3 @@ def random_rank_k_state(d: int, k: int, rng) -> np.ndarray:
     cols = haar_orthonormal_columns(d, k, gen)
     w = gen.dirichlet(np.ones(k))
     return hermitize((cols * w) @ cols.conj().T)
-
-
-# --- fixture text format -----------------------------------------------------
-#
-# First line: the dimension d.  Then d lines of d entries "re+imi" separated
-# by whitespace, each component printed with 17 significant digits so that
-# write/read round-trips are bit identical for double precision values.
-
-def _format_entry(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
-def _parse_entry(tok: str) -> complex:
-    if not tok.endswith("i"):
-        raise ValueError(f"bad matrix entry {tok!r}")
-    body = tok[:-1]
-    # imaginary part starts at the last sign that is not an exponent sign
-    for pos in range(len(body) - 1, 0, -1):
-        c = body[pos]
-        if c in "+-" and body[pos - 1] not in "eE":
-            return complex(float(body[:pos]), float(body[pos:]))
-    raise ValueError(f"bad matrix entry {tok!r}")
-
-
-def write_matrix_text(a, path) -> None:
-    a = check_hermitian(a)
-    d = a.shape[0]
-    with open(path, "w") as fh:
-        fh.write(f"{d}\n")
-        for row in a:
-            fh.write(" ".join(_format_entry(z) for z in row) + "\n")
-
-
-def read_matrix_text(path) -> np.ndarray:
-    with open(path) as fh:
-        d = int(fh.readline().strip())
-        rows = []
-        for _ in range(d):
-            toks = fh.readline().split()
-            if len(toks) != d:
-                raise ValueError(f"expected {d} entries per row, got {len(toks)}")
-            rows.append([_parse_entry(t) for t in toks])
-    return check_hermitian(np.array(rows, dtype=complex))

@@ -12,15 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import check_hermitian
-from .sensing import (
-    SensingPlan,
-    _kind_token,
-    _plan_size,
-    _read_plan_record,
-    _seed_token,
-    apply_sampling,
-    pauli_coefficients,
-)
+from .sensing import SensingPlan, apply_sampling, pauli_coefficients
 
 __all__ = [
     "GaussianNoise",
@@ -30,8 +22,6 @@ __all__ = [
     "measure_bernoulli_pauli",
     "pauli_outcome_probabilities",
     "noise_scale",
-    "write_batch_csv",
-    "read_batch_csv",
 ]
 
 
@@ -44,9 +34,6 @@ class GaussianNoise:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-
-    def descriptor(self) -> str:
-        return f"gaussian:{self.sigma:.17g}"
 
 
 @dataclass(frozen=True)
@@ -62,9 +49,6 @@ class BernoulliPauliNoise:
 
     def variance_bound(self, dim: int) -> float:
         return dim / self.shots
-
-    def descriptor(self) -> str:
-        return f"bernoulli:{self.shots}"
 
 
 @dataclass(frozen=True)
@@ -133,64 +117,3 @@ def measure_bernoulli_pauli(plan: SensingPlan, state, shots: int, rng) -> Measur
     successes = gen.binomial(shots, np.clip(p, 0.0, 1.0))
     y = np.sqrt(plan.dim) * (2.0 * successes - shots) / shots
     return MeasurementBatch(plan, y, noise)
-
-
-# --- batch CSV ----------------------------------------------------------------
-#
-# Header comment records kind, d, n, noise descriptor and the plan seed; rows
-# are (i, design_index_or_file, y_i).  Gaussian plans are reconstructed from
-# the recorded seed on read, so the writer refuses a Gaussian plan without
-# one.  The reader ignores header keys it does not use, such as the ``tag=``
-# that older files carry.
-
-def write_batch_csv(batch: MeasurementBatch, path) -> None:
-    plan = batch.plan
-    kind = _kind_token(plan.ensemble)
-    seed = _seed_token(plan)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# kind={kind} d={plan.dim} n={plan.n} "
-                 f"noise={batch.noise.descriptor()} seed={seed}\n")
-        fh.write("i,design_index_or_file,y_i\n")
-        for i in range(plan.n):
-            ref = str(int(plan.indices[i])) if kind == "pauli" else "-"
-            fh.write(f"{i},{ref},{batch.y[i]:.17g}\n")
-
-
-def _parse_noise(descriptor: str):
-    head, _, value = descriptor.partition(":")
-    if head == "gaussian":
-        return GaussianNoise(float(value))
-    if head == "bernoulli":
-        return BernoulliPauliNoise(int(value))
-    raise ValueError(f"unknown noise descriptor {descriptor!r}")
-
-
-def read_batch_csv(path) -> MeasurementBatch:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise ValueError("missing batch header")
-        meta = {}
-        for item in header[2:].split():
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise ValueError(f"batch header item {item!r} is not key=value")
-            meta[key] = value
-        for key in ("kind", "d", "n", "noise", "seed"):
-            if key not in meta:
-                raise ValueError(f"batch header lacks {key}=")
-        fh.readline()  # column names
-        rows = []
-        for number, line in enumerate(fh, start=3):
-            if line.strip():
-                fields = line.strip().split(",")
-                if len(fields) != 3:
-                    raise ValueError(f"batch row at line {number} has {len(fields)} "
-                                     f"fields, expected 3: {line.strip()!r}")
-                rows.append(fields)
-    if len(rows) != _plan_size(meta["n"]):
-        raise ValueError(f"expected {meta['n']} rows, found {len(rows)}")
-    plan = _read_plan_record(meta["kind"], meta["d"], meta["n"], meta["seed"],
-                             [r[1] for r in rows if r[1] != "-"])
-    y = np.array([float(r[2]) for r in rows])
-    return MeasurementBatch(plan, y, _parse_noise(meta["noise"]))

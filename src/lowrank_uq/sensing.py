@@ -37,8 +37,6 @@ __all__ = [
     "full_basis_plan",
     "apply_sampling",
     "adjoint_average",
-    "write_plan",
-    "read_plan",
 ]
 
 PAULI_MATRICES = (
@@ -204,15 +202,12 @@ class SensingPlan:
 
     Gaussian plans store the drawn matrices, shape (n, d, d); Pauli plans
     store basis indices in [0, d^2) (the realized X^i is d * E_index).
-    ``seed`` is kept when the plan was drawn from an integer seed, which is
-    what makes Gaussian plans serializable.
     """
 
     ensemble: DesignEnsemble
     n: int
     matrices: np.ndarray | None = None
     indices: np.ndarray | None = None
-    seed: int | None = None
 
     @property
     def dim(self) -> int:
@@ -222,12 +217,11 @@ class SensingPlan:
 def draw_plan(ensemble: DesignEnsemble, n: int, rng) -> SensingPlan:
     """Draw ``n`` i.i.d. designs from the ensemble.
 
-    ``rng`` may be an integer seed (recorded on the plan, enabling
-    serialization of Gaussian plans) or any ``numpy.random`` generator.
+    ``rng`` is anything ``numpy.random.default_rng`` takes: an integer seed,
+    a ``SeedSequence`` or a generator.
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     gen = np.random.default_rng(rng)
     d = ensemble.dim
     if ensemble.kind == "gaussian":
@@ -238,9 +232,9 @@ def draw_plan(ensemble: DesignEnsemble, n: int, rng) -> SensingPlan:
             mats = (m + m.conj().transpose(0, 2, 1)) / np.sqrt(2.0)
         else:
             mats = gen.standard_normal((n, d, d))
-        return SensingPlan(ensemble, n, matrices=mats, seed=seed)
+        return SensingPlan(ensemble, n, matrices=mats)
     indices = gen.integers(0, d * d, size=n)
-    return SensingPlan(ensemble, n, indices=indices, seed=seed)
+    return SensingPlan(ensemble, n, indices=indices)
 
 
 def draw_paired_plan(ensemble: DesignEnsemble, n: int, rng) -> SensingPlan:
@@ -318,73 +312,3 @@ def _pauli_synthesis(weights: np.ndarray, num_qubits: int) -> np.ndarray:
     blocks = _BLOCKS[num_qubits]
     m = _butterfly(weights, blocks, _ADJOINT).reshape(sum(((2**k, 2**k) for k in blocks), ()))
     return m.transpose(_DEINTERLEAVE[num_qubits]).reshape(2**num_qubits, 2**num_qubits)
-
-
-# --- plan serialization -------------------------------------------------------
-#
-# Header line "kind d n seed"; Pauli plans then list one index per line, while
-# Gaussian plans are re-derived from the recorded seed rather than stored.
-
-def _kind_token(ensemble: DesignEnsemble) -> str:
-    if ensemble.kind == "gaussian":
-        return "gaussian-hermitian" if ensemble.hermitian else "gaussian"
-    return "pauli"
-
-
-def _seed_token(plan: SensingPlan) -> str:
-    """The seed field of a plan file or a batch CSV, ``"-"`` when absent;
-    Gaussian plans are re-drawn from it, so theirs must be present."""
-    if plan.ensemble.kind == "gaussian" and plan.seed is None:
-        raise ValueError("gaussian plans are serialized by seed; this plan has none")
-    return "-" if plan.seed is None else str(plan.seed)
-
-
-def write_plan(plan: SensingPlan, path) -> None:
-    token = _kind_token(plan.ensemble)
-    seed = _seed_token(plan)
-    with open(path, "w") as fh:
-        fh.write(f"{token} {plan.dim} {plan.n} {seed}\n")
-        if plan.ensemble.kind == "pauli":
-            for j in plan.indices:
-                fh.write(f"{int(j)}\n")
-
-
-def _plan_size(n: str) -> int:
-    """The draw count of a plan file or a batch CSV, which must be >= 1."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"a plan needs at least one draw, got n = {n}")
-    return n
-
-
-def _read_plan_record(token: str, d: str, n: str, seed: str, indices) -> SensingPlan:
-    """Plan from the text fields that a plan file or a batch CSV records.
-
-    Pauli plans list their n indices, each in [0, d^2); Gaussian plans list
-    none and are re-drawn from their seed.  ``seed`` is ``"-"`` when absent.
-    """
-    if token not in ("gaussian", "gaussian-hermitian", "pauli"):
-        raise ValueError(f"unknown design kind {token!r}")
-    d, n = int(d), _plan_size(n)
-    seed = None if seed == "-" else int(seed)
-    expected = n if token == "pauli" else 0
-    if len(indices) != expected:
-        raise ValueError(f"{token} plan of {n} draws needs {expected} indices, "
-                         f"got {len(indices)}")
-    if token != "pauli":
-        if seed is None:
-            raise ValueError("gaussian plan lacks a seed")
-        return draw_plan(gaussian_design(d, hermitian=(token == "gaussian-hermitian")), n, seed)
-    ensemble = pauli_design(_num_qubits(d))
-    indices = np.array([int(j) for j in indices], dtype=np.int64)
-    bad = (indices < 0) | (indices >= d * d)
-    if bad.any():
-        raise ValueError(f"Pauli index {indices[bad][0]} out of range [0, {d * d})")
-    return SensingPlan(ensemble, n, indices=indices, seed=seed)
-
-
-def read_plan(path) -> SensingPlan:
-    with open(path) as fh:
-        token, d, n, seed = fh.readline().split()
-        indices = fh.read().split()
-    return _read_plan_record(token, d, n, seed, indices)

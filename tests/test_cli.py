@@ -41,16 +41,6 @@ class TestSimulateCommand:
         assert tables[0] == "design,eta,R,row,n20,n40"
         assert len(tables) == 1 + 2 * 4
 
-    def test_seed_env_override_changes_results(self, tmp_path, monkeypatch):
-        cfg = _write_config(tmp_path)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(cfg), "--out", str(out_a)])
-        monkeypatch.setenv("LOWRANK_UQ_SEED", "999")
-        main(["simulate", "--config", str(cfg), "--out", str(out_b)])
-        a = (out_a / "results_pauli_dirac_R0.1.csv").read_text()
-        b = (out_b / "results_pauli_dirac_R0.1.csv").read_text()
-        assert a != b
-
     def test_bad_config_returns_nonzero(self, tmp_path):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("design : pauli\n")
@@ -150,6 +140,14 @@ class TestCertifyCommand:
         payload = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert payload["stopped"] is True
 
+    @pytest.mark.parametrize("noise", ["gaussian:0.3", "gaussian:abc", "gaussian:"])
+    def test_gaussian_noise_suffix_rejected(self, tmp_path, capsys, monkeypatch, noise):
+        # sigma comes from --sigma alone; a suffix used to be ignored
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", "--d", "4", "--eps", "0.5", "--noise", noise]) == 1
+        assert repr(noise) in capsys.readouterr().err
+        assert not (tmp_path / "certify_epochs.csv").exists()
+
     def test_unstopped_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main([
@@ -172,3 +170,13 @@ class TestCalibrateCommand:
         assert "rss_c" in constants and constants["rss_c"] > 0
         namespace = set(lq.DEFAULT_SIMULATION_CONSTANTS) | {"pilot_D", "nuclear_c_v", "nuclear_C"}
         assert set(constants) <= namespace
+
+    @pytest.mark.parametrize("targets, name", [
+        ("foo", "'foo'"), ("rss,nuclaer", "'nuclaer'"), ("", "no calibration target"),
+    ])
+    def test_bad_targets_rejected(self, tmp_path, capsys, targets, name):
+        out = tmp_path / "constants.txt"
+        rc = main(["calibrate", "--out", str(out), "--targets", targets, "--reps", "20"])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()

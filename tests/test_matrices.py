@@ -248,18 +248,3 @@ class TestRandomStates:
 
     def test_valid_state(self, rng):
         lq.check_quantum_state(lq.random_rank_k_state(8, 3, rng))
-
-
-class TestMatrixTextFormat:
-    def test_roundtrip_bit_identical(self, rng, tmp_path):
-        a = random_hermitian(5, rng, scale=float(np.exp(rng.uniform(-8, 8))))
-        path = tmp_path / "m.txt"
-        lq.write_matrix_text(a, path)
-        back = lq.read_matrix_text(path)
-        assert np.array_equal(a, back)
-
-    def test_roundtrip_with_exponents(self, tmp_path):
-        a = np.array([[1e-17, 2.5e8 + 1e-17j], [2.5e8 - 1e-17j, -3.0]], dtype=complex)
-        path = tmp_path / "m.txt"
-        lq.write_matrix_text(a, path)
-        assert np.array_equal(lq.read_matrix_text(path), a)

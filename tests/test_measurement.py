@@ -91,140 +91,3 @@ class TestNoiseModels:
         assert lq.noise_scale(gauss) == pytest.approx(0.2)
         bern = lq.measure_bernoulli_pauli(plan, state, 16, rng)
         assert lq.noise_scale(bern) == pytest.approx(0.5)
-
-
-class TestBatchCsv:
-    def test_pauli_roundtrip(self, rng, tmp_path):
-        rho = lq.random_rank_k_state(4, 1, rng)
-        plan = lq.draw_plan(lq.pauli_design(2), 12, 33)
-        batch = lq.measure_gaussian(plan, rho, 0.1, rng)
-        path = tmp_path / "batch.csv"
-        lq.write_batch_csv(batch, path)
-        back = lq.read_batch_csv(path)
-        assert np.array_equal(back.y, batch.y)
-        assert np.array_equal(back.plan.indices, plan.indices)
-        assert back.noise == batch.noise
-        assert "tag=" not in path.read_text().splitlines()[0]
-
-    def test_header_keys_it_does_not_use_are_ignored(self, tmp_path):
-        # files of earlier versions carry a tag= item
-        path = tmp_path / "batch.csv"
-        path.write_text("# kind=pauli d=4 n=2 noise=gaussian:0.1 seed=- tag=fixture-a\n"
-                        "i,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
-        back = lq.read_batch_csv(path)
-        assert np.array_equal(back.plan.indices, [3, 7])
-        assert np.array_equal(back.y, [0.5, 0.25])
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_size_below_one_rejected(self, tmp_path, n):
-        path = tmp_path / "batch.csv"
-        path.write_text(f"# kind=pauli d=4 n={n} noise=gaussian:0.1 seed=-\n"
-                        "i,design_index_or_file,y_i\n")
-        with pytest.raises(ValueError, match=f"n = {n}"):
-            lq.read_batch_csv(path)
-
-    def test_gaussian_roundtrip_via_seed(self, rng, tmp_path):
-        plan = lq.draw_plan(lq.gaussian_design(3), 7, 55)
-        batch = lq.measure_gaussian(plan, np.eye(3).astype(complex) / 3, 0.2, rng)
-        path = tmp_path / "batch.csv"
-        lq.write_batch_csv(batch, path)
-        back = lq.read_batch_csv(path)
-        assert np.array_equal(back.y, batch.y)
-        assert np.array_equal(back.plan.matrices, plan.matrices)
-
-    def test_bernoulli_descriptor_roundtrip(self, rng, tmp_path):
-        plan = lq.draw_plan(lq.pauli_design(1), 5, 1)
-        batch = lq.measure_bernoulli_pauli(plan, np.eye(2) / 2, 32, rng)
-        path = tmp_path / "batch.csv"
-        lq.write_batch_csv(batch, path)
-        back = lq.read_batch_csv(path)
-        assert back.noise == lq.BernoulliPauliNoise(32)
-        assert np.array_equal(back.y, batch.y)
-
-    @pytest.mark.parametrize("d, index, match", [
-        (12, 7, "power of 2"), (4, -1, "out of range"), (4, 16, "out of range"),
-    ])
-    def test_bad_pauli_dimension_or_index_rejected(self, tmp_path, d, index, match):
-        path = tmp_path / "batch.csv"
-        path.write_text(f"# kind=pauli d={d} n=2 noise=gaussian:0.1 seed=- tag=-\n"
-                        f"i,design_index_or_file,y_i\n0,3,0.5\n1,{index},0.25\n")
-        with pytest.raises(ValueError, match=match):
-            lq.read_batch_csv(path)
-
-    @pytest.mark.parametrize("kind", ["paulii", "gausian", "PAULI"])
-    def test_unknown_kind_token_rejected(self, tmp_path, kind):
-        path = tmp_path / "batch.csv"
-        path.write_text(f"# kind={kind} d=4 n=2 noise=gaussian:0.1 seed=5 tag=-\n"
-                        "i,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
-        with pytest.raises(ValueError, match=repr(kind)):
-            lq.read_batch_csv(path)
-
-    def test_gaussian_batch_with_index_column_rejected(self, tmp_path):
-        path = tmp_path / "batch.csv"
-        path.write_text("# kind=gaussian d=2 n=2 noise=gaussian:0.1 seed=5 tag=-\n"
-                        "i,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
-        with pytest.raises(ValueError, match="0 indices"):
-            lq.read_batch_csv(path)
-
-    def test_pauli_batch_missing_index_rejected(self, tmp_path):
-        path = tmp_path / "batch.csv"
-        path.write_text("# kind=pauli d=4 n=2 noise=gaussian:0.1 seed=- tag=-\n"
-                        "i,design_index_or_file,y_i\n0,3,0.5\n1,-,0.25\n")
-        with pytest.raises(ValueError, match="2 indices"):
-            lq.read_batch_csv(path)
-
-    @pytest.mark.parametrize("row", ["1,7", "1", "1,7,0.25,9"])
-    def test_row_with_wrong_field_count_rejected(self, tmp_path, row):
-        path = tmp_path / "batch.csv"
-        path.write_text("# kind=pauli d=4 n=2 noise=gaussian:0.1 seed=- tag=-\n"
-                        f"i,design_index_or_file,y_i\n0,3,0.5\n{row}\n")
-        with pytest.raises(ValueError, match=f"line 4 .*{row!r}"):
-            lq.read_batch_csv(path)
-
-    @pytest.mark.parametrize("key", ["kind", "d", "n", "noise", "seed"])
-    def test_header_missing_key_rejected(self, tmp_path, key):
-        items = {"kind": "pauli", "d": "4", "n": "2", "noise": "gaussian:0.1", "seed": "-"}
-        del items[key]
-        header = " ".join(f"{k}={v}" for k, v in items.items())
-        path = tmp_path / "batch.csv"
-        path.write_text(f"# {header} tag=-\ni,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
-        with pytest.raises(ValueError, match=f"lacks {key}="):
-            lq.read_batch_csv(path)
-
-    def test_header_item_without_equals_rejected(self, tmp_path):
-        path = tmp_path / "batch.csv"
-        path.write_text("# kind=pauli d=4 n=2 gaussian seed=- tag=-\n"
-                        "i,design_index_or_file,y_i\n0,3,0.5\n1,7,0.25\n")
-        with pytest.raises(ValueError, match="'gaussian' is not key=value"):
-            lq.read_batch_csv(path)
-
-    def test_gaussian_hermitian_roundtrip_via_seed(self, rng, tmp_path):
-        plan = lq.draw_plan(lq.gaussian_design(2, hermitian=True), 5, 8)
-        batch = lq.measure_gaussian(plan, np.eye(2).astype(complex) / 2, 0.2, rng)
-        path = tmp_path / "batch.csv"
-        lq.write_batch_csv(batch, path)
-        assert "kind=gaussian-hermitian" in path.read_text().splitlines()[0]
-        back = lq.read_batch_csv(path)
-        assert back.plan.ensemble.hermitian
-        assert np.array_equal(back.plan.matrices, plan.matrices)
-
-    def test_distinct_batch_identities(self, rng):
-        # the sample-splitting check tells batches apart by identity: the
-        # same object is rejected, another one with equal content is not
-        plan = lq.draw_plan(lq.pauli_design(1), 5, 1)
-        a = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)
-        b = lq.MeasurementBatch(a.plan, a.y.copy(), a.noise)
-        cfg = lq.NuclearSetConfig(C=1.0, c_v=1.0, rate=lq.RateFunction(1.0, 0.1, 2, 5))
-        with pytest.raises(ValueError, match="independent"):
-            lq.eigenvalue_estimator(a, np.eye(2) / 2, cfg, pilot_batch=a)
-        est = lq.eigenvalue_estimator(a, np.eye(2) / 2, cfg, pilot_batch=b)
-        assert est.lambdas.shape == (2,)
-
-    def test_seedless_gaussian_batch_refused(self, tmp_path):
-        # such a plan cannot be re-drawn on read; write_plan refuses it too
-        plan = lq.draw_plan(lq.gaussian_design(2), 3, np.random.default_rng(0))
-        batch = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, 1)
-        path = tmp_path / "batch.csv"
-        with pytest.raises(ValueError, match="has none"):
-            lq.write_batch_csv(batch, path)
-        assert not path.exists()

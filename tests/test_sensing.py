@@ -147,6 +147,16 @@ class TestDrawPlan:
         second_moment = np.mean(np.abs(m) ** 2, axis=0)
         assert np.all(np.abs(second_moment - 1.0) <= 0.05)
 
+    @pytest.mark.parametrize("ensemble", [
+        lq.gaussian_design(3), lq.gaussian_design(3, hermitian=True), lq.pauli_design(2),
+    ], ids=["gaussian", "gaussian-hermitian", "pauli"])
+    def test_integer_seed_repeats_the_draws(self, ensemble):
+        # an integer seed and a generator made from it give the same plan
+        a = lq.draw_plan(ensemble, 6, 42)
+        b = lq.draw_plan(ensemble, 6, np.random.default_rng(42))
+        field = "indices" if ensemble.kind == "pauli" else "matrices"
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             lq.draw_plan(lq.pauli_design(1), 0, 0)
@@ -249,70 +259,3 @@ class TestExpectedIsometry:
         for theta in (np.eye(4) / 2.0, random_hermitian(4, rng)):
             fsq = lq.frobenius_norm(theta) ** 2
             assert abs(np.mean(lq.apply_sampling(plan, theta) ** 2) / fsq - 1.0) <= 1e-12
-
-
-class TestPlanSerialization:
-    def test_pauli_roundtrip(self, tmp_path):
-        plan = lq.draw_plan(lq.pauli_design(2), 17, 42)
-        path = tmp_path / "plan.txt"
-        lq.write_plan(plan, path)
-        back = lq.read_plan(path)
-        assert back.ensemble == plan.ensemble
-        assert np.array_equal(back.indices, plan.indices)
-        assert back.seed == 42
-
-    def test_gaussian_rederived_from_seed(self, tmp_path):
-        plan = lq.draw_plan(lq.gaussian_design(3), 6, 42)
-        path = tmp_path / "plan.txt"
-        lq.write_plan(plan, path)
-        back = lq.read_plan(path)
-        assert np.array_equal(back.matrices, plan.matrices)
-
-    def test_gaussian_hermitian_token(self, tmp_path):
-        plan = lq.draw_plan(lq.gaussian_design(2, hermitian=True), 4, 9)
-        path = tmp_path / "plan.txt"
-        lq.write_plan(plan, path)
-        back = lq.read_plan(path)
-        assert back.ensemble.hermitian
-        assert np.array_equal(back.matrices, plan.matrices)
-
-    @pytest.mark.parametrize("bad", [-1, 16])
-    def test_out_of_range_index_rejected(self, tmp_path, bad):
-        path = tmp_path / "plan.txt"
-        path.write_text(f"pauli 4 2 -\n3\n{bad}\n")
-        with pytest.raises(ValueError, match="out of range"):
-            lq.read_plan(path)
-
-    @pytest.mark.parametrize("header", ["gausian 4 3 7", "paulii 4 3 7", "Pauli 4 3 -"])
-    def test_unknown_kind_token_rejected(self, tmp_path, header):
-        path = tmp_path / "plan.txt"
-        path.write_text(f"{header}\n1\n2\n3\n")
-        with pytest.raises(ValueError, match=repr(header.split()[0])):
-            lq.read_plan(path)
-
-    @pytest.mark.parametrize("lines", ["0\n1\n", "0\n1\n2\n3\n"])
-    def test_pauli_index_count_must_match_n(self, tmp_path, lines):
-        path = tmp_path / "plan.txt"
-        path.write_text(f"pauli 4 3 -\n{lines}")
-        with pytest.raises(ValueError, match="3 indices"):
-            lq.read_plan(path)
-
-    @pytest.mark.parametrize("kind, n", [("pauli", 0), ("pauli", -1), ("gaussian", 0),
-                                         ("gaussian", -1)])
-    def test_size_below_one_rejected(self, tmp_path, kind, n):
-        # an empty plan would pass the index count; draw_plan refuses one
-        path = tmp_path / "plan.txt"
-        path.write_text(f"{kind} 4 {n} 7\n")
-        with pytest.raises(ValueError, match=f"n = {n}"):
-            lq.read_plan(path)
-
-    def test_gaussian_plan_with_index_lines_rejected(self, tmp_path):
-        path = tmp_path / "plan.txt"
-        path.write_text("gaussian 3 2 7\n0\n1\n")
-        with pytest.raises(ValueError, match="0 indices"):
-            lq.read_plan(path)
-
-    def test_gaussian_without_seed_rejected(self, tmp_path):
-        plan = lq.draw_plan(lq.gaussian_design(2), 4, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="seed"):
-            lq.write_plan(plan, tmp_path / "plan.txt")
