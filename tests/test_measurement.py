@@ -91,3 +91,33 @@ class TestNoiseModels:
         assert lq.noise_scale(gauss) == pytest.approx(0.2)
         bern = lq.measure_bernoulli_pauli(plan, state, 16, rng)
         assert lq.noise_scale(bern) == pytest.approx(0.5)
+
+
+class TestBatchCsv:
+    """A measured batch has no file form: it is rebuilt from its design, its
+    plan and its seeds.  These are the checks on those parts, and on telling
+    a rebuilt batch from the one it copies."""
+
+    @pytest.mark.parametrize("d, index, match", [
+        (12, 7, "power of 2"), (4, -1, "out of range"), (4, 16, "out of range"),
+    ])
+    def test_bad_pauli_dimension_or_index_rejected(self, d, index, match):
+        with pytest.raises(ValueError, match=match):
+            lq.index_to_word(index, lq.DesignEnsemble("pauli", d).num_qubits)
+
+    @pytest.mark.parametrize("kind", ["paulii", "gausian", "PAULI"])
+    def test_unknown_kind_token_rejected(self, kind):
+        with pytest.raises(ValueError, match=repr(kind)):
+            lq.DesignEnsemble(kind, 4)
+
+    def test_distinct_batch_identities(self, rng):
+        # the sample-splitting check tells batches apart by identity: the
+        # same object is rejected, another one with equal content is not
+        plan = lq.draw_plan(lq.pauli_design(1), 5, 1)
+        a = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)
+        b = lq.MeasurementBatch(a.plan, a.y.copy(), a.noise)
+        cfg = lq.NuclearSetConfig(C=1.0, c_v=1.0, rate=lq.RateFunction(1.0, 0.1, 2, 5))
+        with pytest.raises(ValueError, match="independent"):
+            lq.eigenvalue_estimator(a, np.eye(2) / 2, cfg, pilot_batch=a)
+        est = lq.eigenvalue_estimator(a, np.eye(2) / 2, cfg, pilot_batch=b)
+        assert est.lambdas.shape == (2,)

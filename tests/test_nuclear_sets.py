@@ -59,18 +59,6 @@ class TestEigenvalueEstimator:
         with pytest.raises(ValueError, match="independent"):
             lq.eigenvalue_estimator(batch, rho, _cfg(rate), pilot_batch=batch)
 
-    def test_distinct_batch_identities(self, rng):
-        # the sample-splitting check tells batches apart by identity: the
-        # same object is rejected, another one with equal content is not
-        plan = lq.draw_plan(lq.pauli_design(1), 5, 1)
-        a = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)
-        b = lq.MeasurementBatch(a.plan, a.y.copy(), a.noise)
-        cfg = lq.NuclearSetConfig(C=1.0, c_v=1.0, rate=lq.RateFunction(1.0, 0.1, 2, 5))
-        with pytest.raises(ValueError, match="independent"):
-            lq.eigenvalue_estimator(a, np.eye(2) / 2, cfg, pilot_batch=a)
-        est = lq.eigenvalue_estimator(a, np.eye(2) / 2, cfg, pilot_batch=b)
-        assert est.lambdas.shape == (2,)
-
 
 class TestSelectKHat:
     def test_pure_state_selects_one(self, rng):

@@ -147,16 +147,6 @@ class TestDrawPlan:
         second_moment = np.mean(np.abs(m) ** 2, axis=0)
         assert np.all(np.abs(second_moment - 1.0) <= 0.05)
 
-    @pytest.mark.parametrize("ensemble", [
-        lq.gaussian_design(3), lq.gaussian_design(3, hermitian=True), lq.pauli_design(2),
-    ], ids=["gaussian", "gaussian-hermitian", "pauli"])
-    def test_integer_seed_repeats_the_draws(self, ensemble):
-        # an integer seed and a generator made from it give the same plan
-        a = lq.draw_plan(ensemble, 6, 42)
-        b = lq.draw_plan(ensemble, 6, np.random.default_rng(42))
-        field = "indices" if ensemble.kind == "pauli" else "matrices"
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             lq.draw_plan(lq.pauli_design(1), 0, 0)
@@ -259,3 +249,25 @@ class TestExpectedIsometry:
         for theta in (np.eye(4) / 2.0, random_hermitian(4, rng)):
             fsq = lq.frobenius_norm(theta) ** 2
             assert abs(np.mean(lq.apply_sampling(plan, theta) ** 2) / fsq - 1.0) <= 1e-12
+
+
+class TestPlanSerialization:
+    """A plan has no file form: it is recorded as its ensemble, its size and
+    the integer seed it was drawn from, and ``draw_plan`` re-derives it."""
+
+    def test_pauli_roundtrip(self):
+        plan = lq.draw_plan(lq.pauli_design(2), 17, 42)
+        back = lq.draw_plan(plan.ensemble, plan.n, 42)
+        assert back.ensemble == plan.ensemble
+        assert np.array_equal(back.indices, plan.indices)
+
+    def test_gaussian_rederived_from_seed(self):
+        plan = lq.draw_plan(lq.gaussian_design(3), 6, 42)
+        back = lq.draw_plan(lq.gaussian_design(3), 6, np.random.default_rng(42))
+        assert np.array_equal(back.matrices, plan.matrices)
+
+    def test_gaussian_hermitian_token(self):
+        plan = lq.draw_plan(lq.gaussian_design(2, hermitian=True), 4, 9)
+        back = lq.draw_plan(lq.gaussian_design(2, hermitian=True), 4, 9)
+        assert back.ensemble.hermitian
+        assert np.array_equal(back.matrices, plan.matrices)
