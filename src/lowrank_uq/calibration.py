@@ -46,8 +46,8 @@ class CalibrationError(RuntimeError):
     """Target coverage unreachable on the declared grid."""
 
 
-def coverage_curve(spec: ExperimentSpec, method: str, n_values, grid) -> np.ndarray:
-    """Coverage per grid constant, minimized over the fixture sample sizes.
+def coverage_curve(spec: ExperimentSpec, method: str, grid) -> np.ndarray:
+    """Coverage per grid constant, minimized over the sample sizes ``spec.n_grid``.
 
     The coverage event at constant c is that of :func:`run_experiment`,
     error_norm_sq <= :func:`calibrated_bound` at the truth, with the
@@ -57,7 +57,7 @@ def coverage_curve(spec: ExperimentSpec, method: str, n_values, grid) -> np.ndar
     kind = method.lower()
     grid = np.asarray(grid, dtype=float)
     worst = np.ones_like(grid)
-    for n in n_values:
+    for n in spec.n_grid:
         stats = _cell_statistics(spec, method, n, range(spec.reps))
         cov = np.array([
             np.mean(r_sq <= calibrated_bound(kind, stats, math.sqrt(r_sq), n, spec.d, c))
@@ -67,10 +67,9 @@ def coverage_curve(spec: ExperimentSpec, method: str, n_values, grid) -> np.ndar
     return worst
 
 
-def calibrate_ball_constant(spec: ExperimentSpec, method: str, n_values,
-                            target: float, grid) -> float:
+def calibrate_ball_constant(spec: ExperimentSpec, method: str, target: float, grid) -> float:
     """Smallest grid constant whose worst-case fixture coverage meets target."""
-    worst = coverage_curve(spec, method, n_values, grid)
+    worst = coverage_curve(spec, method, grid)
     ok = np.nonzero(worst >= target)[0]
     if ok.size == 0:
         raise CalibrationError(
@@ -172,6 +171,10 @@ def run_calibration(seed: int, out_path, targets=("rss", "ustat", "nuclear"),
         if name not in ("rss", "ustat", "nuclear"):
             raise ValueError(f"unknown calibration target {name!r}; "
                              "choose from rss, ustat, nuclear")
+    if not 0 < coverage_target <= 1:
+        raise ValueError(f"coverage target {coverage_target} is outside (0, 1]")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta {delta} is outside (0, 1)")
     constants = {}
     grid = np.round(np.arange(0.25, 6.01, 0.25), 2)
     fixture = ExperimentSpec(
@@ -180,9 +183,8 @@ def run_calibration(seed: int, out_path, targets=("rss", "ustat", "nuclear"),
     )
     for kind, method in (("ustat", "UStat"), ("rss", "RSS")):
         if kind in targets:
-            constants[f"{kind}_c"] = calibrate_ball_constant(
-                fixture, method, fixture.n_grid, coverage_target, grid
-            )
+            constants[f"{kind}_c"] = calibrate_ball_constant(fixture, method,
+                                                             coverage_target, grid)
             constants[f"{kind}_c_prime"] = DEFAULT_SIMULATION_CONSTANTS[f"{kind}_c_prime"]
     if "nuclear" in targets:
         fix = PilotFixture(

@@ -64,6 +64,11 @@ class CertificateConfig:
             raise ValueError("t_max must be >= 1")
         if self.constants_regime not in ("theory", "simulation"):
             raise ValueError(f"unknown constants regime {self.constants_regime!r}")
+        if not isinstance(self.noise, (GaussianNoise, BernoulliPauliNoise)):
+            raise ValueError(f"noise must be GaussianNoise or BernoulliPauliNoise, "
+                             f"got {self.noise!r}")
+        if isinstance(self.noise, BernoulliPauliNoise) and self.ensemble.kind != "pauli":
+            raise ValueError("Bernoulli noise measures Pauli designs only")
 
     @property
     def num_epochs_planned(self) -> int:
@@ -88,21 +93,22 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    n_hat: int
     theta_hat: np.ndarray
     epochs: tuple
     stopped: bool
-    epsilon: float
-    delta: float
-    constants_regime: str
+    config: CertificateConfig
+
+    @property
+    def n_hat(self) -> int:  # the stopping time: every measurement taken
+        return sum(e.budget for e in self.epochs)
 
     def to_json(self) -> str:
         payload = {
             "n_hat": self.n_hat,
             "stopped": self.stopped,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "constants": self.constants_regime,
+            "epsilon": self.config.epsilon,
+            "delta": self.config.delta,
+            "constants": self.config.constants_regime,
             "epochs": [asdict(e) for e in self.epochs],
         }
         return json.dumps(payload, sort_keys=True)
@@ -124,7 +130,7 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
             # the ball reads the design and the noise level from the batch
             batch = target(plan)
             got = batch.plan
-            if got is not plan and not (got.ensemble == plan.ensemble and got.n == plan.n
+            if got is not plan and not (got.ensemble == plan.ensemble
                                         and np.array_equal(got.indices, plan.indices)
                                         and np.array_equal(got.matrices, plan.matrices)):
                 raise ValueError("the oracle returned a batch for a different plan "
@@ -145,13 +151,10 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
     horizon = cfg.num_epochs_planned
     alpha = cfg.delta / (3.0 * horizon)
     epochs = []
-    n_hat = 0
     theta_hat = None
     stopped = False
     for m in range(1, cfg.t_max + 1):
         n_half = 2**m
-        n_hat += 2 * n_half
-
         pilot_plan = draw_plan(cfg.ensemble, n_half, gen)
         pilot_batch = acquire(pilot_plan)
         pilot, solve = pilot_estimate(pilot_batch, return_info=True)
@@ -186,7 +189,4 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
         if diameter <= cfg.epsilon:
             stopped = True
             break
-    return Certificate(
-        n_hat=n_hat, theta_hat=theta_hat, epochs=tuple(epochs), stopped=stopped,
-        epsilon=cfg.epsilon, delta=cfg.delta, constants_regime=cfg.constants_regime,
-    )
+    return Certificate(theta_hat=theta_hat, epochs=tuple(epochs), stopped=stopped, config=cfg)

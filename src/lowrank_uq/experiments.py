@@ -82,8 +82,10 @@ class ExperimentSpec:
                              "(the pair statistic needs two draws)")
         if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError(f"n_grid {self.n_grid} must be strictly increasing")
-        if self.error_norm_sq <= 0:
-            raise ValueError("error_norm_sq must be positive")
+        if not 0 < self.error_norm_sq < math.inf:
+            raise ValueError(f"error_norm_sq must be finite and > 0, got {self.error_norm_sq}")
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if "pauli" in (self.design, self.error_kind):
             _num_qubits(self.d)
 
@@ -180,7 +182,7 @@ def replication_statistic(spec: ExperimentSpec, method: str, n: int, rep: int) -
     center = np.zeros((spec.d, spec.d), dtype=complex)
     if method == "UStat":
         return ustat_statistic(batch, center)
-    return rss_statistic(batch, center, 1.0)
+    return rss_statistic(batch, center)
 
 
 def _cell_statistics(spec: ExperimentSpec, method: str, n: int, reps) -> np.ndarray:

@@ -109,11 +109,16 @@ def pauli_deviation_constant(alpha: float, coherence: float = 1.0) -> float:
 
 # --- RSS ----------------------------------------------------------------------
 
-def rss_statistic(batch: MeasurementBatch, center, sigma: float) -> float:
-    """(1/n) ||y - X(center)||^2 - sigma^2; may be negative."""
+def _centering(batch: MeasurementBatch) -> float:
+    """sigma^2 under Gaussian noise; 0 under Bernoulli noise, whose variance is only bounded."""
+    return 0.0 if isinstance(batch.noise, BernoulliPauliNoise) else batch.noise.sigma**2
+
+
+def rss_statistic(batch: MeasurementBatch, center) -> float:
+    """(1/n) ||y - X(center)||^2 - sigma^2 (see :func:`_centering`); may be negative."""
     center = check_hermitian(center)
     resid = batch.y - apply_sampling(batch.plan, center)
-    return float(np.mean(resid**2)) - sigma**2
+    return float(np.mean(resid**2)) - _centering(batch)
 
 
 def _largest_root_sqrt_quadratic(a: float, b: float) -> float:
@@ -250,8 +255,8 @@ def _grouped_coefficient_sums(batch: MeasurementBatch):
     return sums, m
 
 
-def reavg_statistic(batch: MeasurementBatch, center, sigma: float) -> float:
-    """Full-basis statistic (1/n) ||ztilde||^2 - sigma^2 d^2 / n.
+def reavg_statistic(batch: MeasurementBatch, center) -> float:
+    """Full-basis statistic (1/n) ||ztilde||^2 - sigma^2 d^2 / n (:func:`_centering`).
 
     The batch must measure each basis coefficient exactly m = n / d^2 times;
     the averaged coefficient measurements are centered at the basis expansion
@@ -264,7 +269,7 @@ def reavg_statistic(batch: MeasurementBatch, center, sigma: float) -> float:
     z = sums / math.sqrt(m)
     coeffs = pauli_coefficients(center, plan.ensemble.num_qubits).real
     ztilde = z - math.sqrt(n) * coeffs
-    return float(np.sum(ztilde**2)) / n - sigma**2 * d * d / n
+    return float(np.sum(ztilde**2)) / n - _centering(batch) * d * d / n
 
 
 def reavg_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float) -> float:
@@ -322,17 +327,16 @@ def frobenius_ball(method: str, batch: MeasurementBatch, center, alpha: float,
     n, d = batch.n, batch.dim
     sigma = noise_scale(batch)
     bernoulli = isinstance(batch.noise, BernoulliPauliNoise)
-    stat_sigma = 0.0 if bernoulli else sigma
     # the statistics are looked up by name at call time, so that rebinding a
     # module attribute (as a profiler does) reaches this dispatch too
     if method == "RSS":
-        stat = rss_statistic(batch, center, stat_sigma)
+        stat = rss_statistic(batch, center)
     elif method == "UStat":
         if ensemble.kind != "gaussian":
             raise ValueError("the U-statistic ball is only supported for isotropic designs")
         stat = ustat_statistic(batch, center)
     elif method == "ReAvg":
-        stat = reavg_statistic(batch, center, stat_sigma)
+        stat = reavg_statistic(batch, center)
     elif method == "PairedRSS":
         stat = paired_rss_statistic(batch, center)
     else:
@@ -354,7 +358,5 @@ def frobenius_ball(method: str, batch: MeasurementBatch, center, alpha: float,
             z = pauli_deviation_constant(alpha, ensemble.coherence)
         radius_sq = rss_radius_sq(stat, n, d, sigma, alpha, z=z,
                                   error_model="bernoulli" if bernoulli else "gaussian")
-    return ConfidenceReport(
-        center=center, radius_sq=radius_sq, norm_kind="frobenius", level_alpha=alpha,
-        method=method, statistic_value=stat, n=n, d=d,
-    )
+    return ConfidenceReport(center=center, radius_sq=radius_sq, norm_kind="frobenius",
+                            level_alpha=alpha, method=method, statistic_value=stat, n=n)

@@ -133,6 +133,5 @@ def nuclear_confidence_set(pilot, est: EigenvalueEstimate,
     radius = cfg.C * math.sqrt(k_hat) * rate(k_hat)
     return ConfidenceReport(
         center=center, radius_sq=radius**2, norm_kind="nuclear",
-        level_alpha=cfg.delta, method="NuclearS1", statistic_value=radius**2,
-        n=n, d=d, k_hat=k_hat,
+        level_alpha=cfg.delta, method="NuclearS1", statistic_value=radius**2, n=n, k_hat=k_hat,
     )

@@ -24,7 +24,6 @@ class ConfidenceReport:
     method: str  # RSS | UStat | ReAvg | PairedRSS | NuclearS1
     statistic_value: float
     n: int
-    d: int
     k_hat: int | None = None
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ plans can be shared across concurrent replications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -200,14 +200,29 @@ def pauli_design(num_qubits: int) -> DesignEnsemble:
 class SensingPlan:
     """A realized sequence of design draws.
 
-    Gaussian plans store the drawn matrices, shape (n, d, d); Pauli plans
-    store basis indices in [0, d^2) (the realized X^i is d * E_index).
+    Gaussian plans store the n drawn matrices, shape (n, d, d); Pauli plans
+    n integer basis indices in [0, d^2) (the realized X^i is d * E_index).
     """
 
     ensemble: DesignEnsemble
-    n: int
     matrices: np.ndarray | None = None
     indices: np.ndarray | None = None
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        d, gaussian = self.ensemble.dim, self.ensemble.kind == "gaussian"
+        draws, other = (self.matrices, self.indices) if gaussian else (self.indices, self.matrices)
+        shape, what = ((d, d), "matrices (n, d, d)") if gaussian else ((), "indices (n,)")
+        if other is not None or not isinstance(draws, np.ndarray) or (
+                draws.shape[1:] != shape or draws.ndim != 1 + len(shape) or len(draws) < 1):
+            raise ValueError(f"a {self.ensemble.kind} plan takes only {what} with n >= 1")
+        if not gaussian:
+            if not np.issubdtype(draws.dtype, np.integer):
+                raise ValueError(f"Pauli indices must be integers, got dtype {draws.dtype}")
+            for index in (draws.min(), draws.max()):
+                if not 0 <= index < d * d:
+                    raise ValueError(f"Pauli index {index} outside [0, {d * d})")
+        object.__setattr__(self, "n", len(draws))
 
     @property
     def dim(self) -> int:
@@ -220,8 +235,6 @@ def draw_plan(ensemble: DesignEnsemble, n: int, rng) -> SensingPlan:
     ``rng`` is anything ``numpy.random.default_rng`` takes: an integer seed,
     a ``SeedSequence`` or a generator.
     """
-    if n < 1:
-        raise ValueError("need at least one draw")
     gen = np.random.default_rng(rng)
     d = ensemble.dim
     if ensemble.kind == "gaussian":
@@ -232,9 +245,9 @@ def draw_plan(ensemble: DesignEnsemble, n: int, rng) -> SensingPlan:
             mats = (m + m.conj().transpose(0, 2, 1)) / np.sqrt(2.0)
         else:
             mats = gen.standard_normal((n, d, d))
-        return SensingPlan(ensemble, n, matrices=mats)
+        return SensingPlan(ensemble, matrices=mats)
     indices = gen.integers(0, d * d, size=n)
-    return SensingPlan(ensemble, n, indices=indices)
+    return SensingPlan(ensemble, indices=indices)
 
 
 def draw_paired_plan(ensemble: DesignEnsemble, n: int, rng) -> SensingPlan:
@@ -243,8 +256,8 @@ def draw_paired_plan(ensemble: DesignEnsemble, n: int, rng) -> SensingPlan:
         raise ValueError("paired plans need an even number of draws")
     half = draw_plan(ensemble, n // 2, rng)
     if ensemble.kind == "gaussian":
-        return SensingPlan(ensemble, n, matrices=np.concatenate([half.matrices] * 2))
-    return SensingPlan(ensemble, n, indices=np.concatenate([half.indices] * 2))
+        return SensingPlan(ensemble, matrices=np.concatenate([half.matrices] * 2))
+    return SensingPlan(ensemble, indices=np.concatenate([half.indices] * 2))
 
 
 def full_basis_plan(ensemble: DesignEnsemble, multiplicity: int) -> SensingPlan:
@@ -252,10 +265,8 @@ def full_basis_plan(ensemble: DesignEnsemble, multiplicity: int) -> SensingPlan:
     times (n = multiplicity * d^2), used for re-averaged estimates."""
     if ensemble.kind != "pauli":
         raise ValueError("full-basis plans exist for Pauli designs only")
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be >= 1")
     d2 = ensemble.dim**2
-    return SensingPlan(ensemble, multiplicity * d2, indices=np.tile(np.arange(d2), multiplicity))
+    return SensingPlan(ensemble, indices=np.tile(np.arange(d2), multiplicity))
 
 
 def _require_real(values: np.ndarray) -> np.ndarray:

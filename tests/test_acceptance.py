@@ -98,7 +98,8 @@ def test_criterion_3_pauli_design_ustat_failure():
     _report(3, abs(cov - 0.54) <= 0.06, f"U-stat coverage at n=200: {cov:.3f} (ref 0.54)")
 
 
-_STAT_CODE = {"rss": 0, "ustat": 1, "reavg": 2, "paired": 3}
+_STAT_CODE = {"rss_statistic": 0, "ustat_statistic": 1, "reavg_statistic": 2,
+              "paired_rss_statistic": 3}
 
 
 def _unbiasedness_run(statistic, make_plan, sigma, theta, center, reps=2000):
@@ -121,17 +122,8 @@ def test_criterion_4_unbiasedness_suite():
     gaussian = lq.gaussian_design(d, hermitian=True)
     pauli = lq.pauli_design(2)
 
-    def rss(batch, c):
-        return lq.rss_statistic(batch, c, batch.noise.sigma)
-
-    def ustat(batch, c):
-        return lq.ustat_statistic(batch, c)
-
-    def reavg(batch, c):
-        return lq.reavg_statistic(batch, c, batch.noise.sigma)
-
-    def paired(batch, c):
-        return lq.paired_rss_statistic(batch, c)
+    rss, ustat = lq.rss_statistic, lq.ustat_statistic
+    reavg, paired = lq.reavg_statistic, lq.paired_rss_statistic
 
     cases = []
     for sigma in (0.0, 0.1, 1.0):

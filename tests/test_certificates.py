@@ -159,6 +159,9 @@ class TestRunCertificate:
         cert = lq.run_certificate(state, cfg, 43)
         payload = json.loads(cert.to_json())
         assert payload["n_hat"] == cert.n_hat
+        assert cert.config is cfg
+        assert (payload["epsilon"], payload["delta"], payload["constants"]) == (
+            cfg.epsilon, cfg.delta, cfg.constants_regime)
         assert len(payload["epochs"]) == len(cert.epochs)
         for record, e in zip(payload["epochs"], cert.epochs):
             # each epoch is written from its own fields, all of them
@@ -179,6 +182,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             lq.CertificateConfig(epsilon=0.5, delta=0.1, ensemble=lq.pauli_design(1),
                                  noise=lq.GaussianNoise(0.1), constants_regime="other")
+
+    @pytest.mark.parametrize("noise", [0.05, "gaussian", None])
+    def test_noise_must_be_a_channel(self, noise):
+        # a float used to fail in epoch 1 on a missing .shots
+        with pytest.raises(ValueError, match="GaussianNoise or BernoulliPauliNoise"):
+            _pauli_cfg(noise=noise)
+
+    def test_bernoulli_noise_needs_a_pauli_design(self):
+        with pytest.raises(ValueError, match="Pauli designs only"):
+            _pauli_cfg(ensemble=lq.gaussian_design(4, hermitian=True),
+                       noise=lq.BernoulliPauliNoise(64))
 
     def test_planned_horizon(self):
         cfg = _pauli_cfg(epsilon=0.5)

@@ -77,6 +77,23 @@ class TestSimulateCommand:
         assert "n_grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("R = 0.1", "R = 0.1,nan", "error_norm_sq must be finite and > 0, got nan"),
+        ("R = 0.1", "R = inf", "error_norm_sq must be finite and > 0, got inf"),
+        ("design = pauli", "design = gaussian", None),  # d = 0 under a Gaussian design
+    ])
+    def test_unusable_spec_rejected_before_any_file(self, tmp_path, capsys, old, new, match):
+        # a bad R used to be found after the first results file was written,
+        # and d = 0 under a Gaussian design wrote a table with exit 0
+        text = SIM_CONFIG.replace(old, new)
+        if match is None:
+            text, match = text.replace("d = 4", "d = 0"), "d must be >= 1, got 0"
+        cfg = _write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, name", [
         ("n_gird = 20,40", "'n_gird'"),
         ("constants = theory", "'constants'"),
@@ -148,6 +165,15 @@ class TestCertifyCommand:
         assert repr(noise) in capsys.readouterr().err
         assert not (tmp_path / "certify_epochs.csv").exists()
 
+    def test_bernoulli_noise_on_gaussian_design_rejected(self, tmp_path, capsys, monkeypatch):
+        # used to fail in epoch 1, inside the Bernoulli channel
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "certify_epochs.csv").write_text("kept\n")
+        assert main(["certify", "--d", "4", "--eps", "0.5", "--design", "gaussian",
+                     "--noise", "bernoulli:64"]) == 1
+        assert "Pauli designs only" in capsys.readouterr().err
+        assert (tmp_path / "certify_epochs.csv").read_text() == "kept\n"
+
     def test_unstopped_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main([
@@ -177,6 +203,23 @@ class TestCalibrateCommand:
     def test_bad_targets_rejected(self, tmp_path, capsys, targets, name):
         out = tmp_path / "constants.txt"
         rc = main(["calibrate", "--out", str(out), "--targets", targets, "--reps", "20"])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--coverage-target", "0", "coverage target 0.0 is outside (0, 1]"),
+        ("--coverage-target", "1.5", "coverage target 1.5 is outside (0, 1]"),
+        ("--coverage-target", "nan", "coverage target nan is outside (0, 1]"),
+        ("--delta", "1.5", "delta 1.5 is outside (0, 1)"),
+        ("--delta", "0", "delta 0.0 is outside (0, 1)"),
+    ])
+    def test_unusable_target_or_delta_rejected(self, tmp_path, capsys, flag, value, name):
+        # a target of 0 used to write rss_c = 0.25, 1.5 to fail after the grid
+        # search, and a delta the rss target does not use went unchecked
+        out = tmp_path / "constants.txt"
+        rc = main(["calibrate", "--out", str(out), "--targets", "rss", "--reps", "20",
+                   flag, value])
         assert rc == 1
         assert name in capsys.readouterr().err
         assert not out.exists()

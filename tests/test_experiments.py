@@ -65,7 +65,7 @@ class TestReplicationStatistics:
                 want = (
                     lq.ustat_statistic(batch, center)
                     if method == "UStat"
-                    else lq.rss_statistic(batch, center, 1.0)
+                    else lq.rss_statistic(batch, center)
                 )
                 assert got == want
 
@@ -76,7 +76,7 @@ class TestReplicationStatistics:
         with pytest.raises(ValueError, match="'Foo'"):
             replication_statistic(spec, "Foo", 20, 0)
         with pytest.raises(ValueError, match="'Foo'"):
-            coverage_curve(spec, "Foo", (20,), [1.0])
+            coverage_curve(spec, "Foo", [1.0])
 
     @pytest.mark.parametrize("error_kind,d,n,r_sq,reps", [
         ("dirac", 1, 5, 0.5, 3000),  # D = 1: no orthogonal part
@@ -137,7 +137,7 @@ class TestReplicationStatistics:
             eta = lq.make_error_matrix("dirac", r_sq, 4, g)
             plan = lq.draw_plan(lq.gaussian_design(4), n, g)
             batch = lq.measure_gaussian(plan, eta, 1.0, g)
-            slow[rep] = lq.rss_statistic(batch, np.zeros((4, 4)), 1.0)
+            slow[rep] = lq.rss_statistic(batch, np.zeros((4, 4)))
         se = math.sqrt(fast.var() / reps + slow.var() / reps)
         assert abs(fast.mean() - slow.mean()) <= 4 * se
         assert fast.mean() == pytest.approx(r_sq, abs=4 * fast.std() / math.sqrt(reps))
@@ -216,21 +216,21 @@ class TestCalibration:
         spec = lq.ExperimentSpec(design="gaussian", error_kind="dirac", error_norm_sq=0.1,
                                  n_grid=(100,), reps=400, d=32, seed=77)
         grid = np.arange(0.5, 6.01, 0.25)
-        c = lq.calibrate_ball_constant(spec, "UStat", (100,), 0.95, grid)
+        c = lq.calibrate_ball_constant(spec, "UStat", 0.95, grid)
         assert 1.5 <= c <= 4.0
 
     def test_unreachable_target_raises_diagnostic(self):
         spec = lq.ExperimentSpec(design="gaussian", error_kind="dirac", error_norm_sq=1.0,
                                  n_grid=(100,), reps=200, d=32, seed=77)
         with pytest.raises(lq.CalibrationError, match="best achieved"):
-            lq.calibrate_ball_constant(spec, "UStat", (100,), 1.0, [2.5])
+            lq.calibrate_ball_constant(spec, "UStat", 1.0, [2.5])
 
     def test_deterministic(self):
         spec = lq.ExperimentSpec(design="gaussian", error_kind="dirac", error_norm_sq=0.1,
                                  n_grid=(100,), reps=150, d=16, seed=4)
         grid = np.arange(0.5, 6.01, 0.5)
-        a = lq.calibrate_ball_constant(spec, "RSS", (100,), 0.9, grid)
-        b = lq.calibrate_ball_constant(spec, "RSS", (100,), 0.9, grid)
+        a = lq.calibrate_ball_constant(spec, "RSS", 0.9, grid)
+        b = lq.calibrate_ball_constant(spec, "RSS", 0.9, grid)
         assert a == b
 
     def test_pilot_risk_quantile(self):

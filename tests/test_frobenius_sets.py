@@ -77,7 +77,7 @@ class TestPauliConstants:
 
 def _manual_batch(matrices, y, sigma=1.0):
     ens = lq.gaussian_design(matrices.shape[1])
-    plan = lq.SensingPlan(ens, matrices.shape[0], matrices=matrices)
+    plan = lq.SensingPlan(ens, matrices=matrices)
     return lq.MeasurementBatch(plan, np.asarray(y, dtype=float), lq.GaussianNoise(sigma))
 
 
@@ -86,14 +86,30 @@ class TestRssStatistic:
         rho = lq.random_rank_k_state(4, 1, rng)
         plan = lq.draw_plan(lq.pauli_design(2), 30, 0)
         batch = lq.measure_gaussian(plan, rho, 0.0, rng)
-        assert lq.rss_statistic(batch, rho, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert lq.rss_statistic(batch, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_arithmetic(self):
         # n = 1, Y = 2, tr(X c) = 1, sigma = 1: (2 - 1)^2 - 1 = 0
         mats = np.array([[[1.0, 0.0], [0.0, 0.0]]])
         batch = _manual_batch(mats, [2.0])
         center = np.diag([1.0, 0.0])
-        assert lq.rss_statistic(batch, center, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert lq.rss_statistic(batch, center) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("noise", ["gaussian", "bernoulli"])
+    def test_centering_comes_from_the_batch(self, rng, noise):
+        # sigma^2 under Gaussian noise; 0 under Bernoulli noise, whose
+        # variance is only bounded
+        rho = lq.random_rank_k_state(2, 1, rng)
+        center = np.eye(2) / 2
+        plan = lq.full_basis_plan(lq.pauli_design(1), 2)
+        batch = (lq.measure_gaussian(plan, rho, 0.3, rng) if noise == "gaussian"
+                 else lq.measure_bernoulli_pauli(plan, rho, 16, rng))
+        var = 0.09 if noise == "gaussian" else 0.0
+        raw = batch.y - lq.apply_sampling(plan, center)
+        assert lq.rss_statistic(batch, center) == pytest.approx(np.mean(raw**2) - var, rel=1e-12)
+        sums = np.bincount(plan.indices, weights=raw, minlength=4)
+        assert lq.reavg_statistic(batch, center) == pytest.approx(
+            float(np.sum(sums**2)) / 2 / 8 - var * 4 / 8, rel=1e-12)
 
     def test_monte_carlo_mean(self, rng):
         rho = lq.random_rank_k_state(4, 1, np.random.default_rng(5))
@@ -104,7 +120,7 @@ class TestRssStatistic:
             g = np.random.default_rng((21, rep))
             plan = lq.draw_plan(lq.pauli_design(2), 40, g)
             batch = lq.measure_gaussian(plan, rho, 0.5, g)
-            vals[rep] = lq.rss_statistic(batch, center, 0.5)
+            vals[rep] = lq.rss_statistic(batch, center)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - target) <= 3 * se
 
@@ -249,11 +265,10 @@ class TestFrobeniusBall:
         # Bernoulli noise: the variance is only bounded by d/T, so the
         # statistics drop their centering and the radius takes the bound
         sigma = 0.2 if noise == "gaussian" else math.sqrt(d / 64)
-        stat_sigma = 0.2 if noise == "gaussian" else 0.0
         stat = {
-            "RSS": lambda: lq.rss_statistic(batch, center, stat_sigma),
+            "RSS": lambda: lq.rss_statistic(batch, center),
             "UStat": lambda: lq.ustat_statistic(batch, center),
-            "ReAvg": lambda: lq.reavg_statistic(batch, center, stat_sigma),
+            "ReAvg": lambda: lq.reavg_statistic(batch, center),
             "PairedRSS": lambda: lq.paired_rss_statistic(batch, center),
         }[method]()
         if regime == "simulation":
@@ -270,8 +285,8 @@ class TestFrobeniusBall:
         rep = lq.frobenius_ball(method, batch, center, alpha, regime)
         assert rep.statistic_value == pytest.approx(stat, rel=1e-12)
         assert rep.radius_sq == pytest.approx(expect, rel=1e-12)
-        assert (rep.method, rep.norm_kind, rep.level_alpha, rep.n, rep.d) == (
-            method, "frobenius", alpha, n, d)
+        assert (rep.method, rep.norm_kind, rep.level_alpha, rep.n) == (
+            method, "frobenius", alpha, n)
         np.testing.assert_array_equal(rep.center, center)
 
     @pytest.mark.parametrize("method,regime,match", [
@@ -389,7 +404,7 @@ class TestReavgStatistic:
         rho = lq.random_rank_k_state(2, 1, rng)
         plan = lq.full_basis_plan(lq.pauli_design(1), 3)
         batch = lq.measure_gaussian(plan, rho, 0.0, rng)
-        assert lq.reavg_statistic(batch, rho, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert lq.reavg_statistic(batch, rho) == pytest.approx(0.0, abs=1e-12)
         rep = lq.frobenius_ball("ReAvg", batch, rho, 0.05, "theory")
         assert rep.radius_sq == pytest.approx(0.0, abs=1e-12)
 
@@ -401,7 +416,7 @@ class TestReavgStatistic:
         batch = lq.measure_gaussian(plan, rho, 0.3, rng)
         coeffs = lq.pauli_coefficients(center, 1).real
         direct = float(np.sum((batch.y - 2 * coeffs[plan.indices]) ** 2)) / 4 - 0.09 * 4 / 4
-        assert lq.reavg_statistic(batch, center, 0.3) == pytest.approx(direct, rel=1e-12)
+        assert lq.reavg_statistic(batch, center) == pytest.approx(direct, rel=1e-12)
 
     def test_monte_carlo_mean(self):
         rho = lq.random_rank_k_state(2, 1, np.random.default_rng(5))
@@ -412,7 +427,7 @@ class TestReavgStatistic:
             g = np.random.default_rng((23, rep))
             plan = lq.full_basis_plan(lq.pauli_design(1), 8)
             batch = lq.measure_gaussian(plan, rho, 0.5, g)
-            vals[rep] = lq.reavg_statistic(batch, center, 0.5)
+            vals[rep] = lq.reavg_statistic(batch, center)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - target) <= 3 * se
 
@@ -420,14 +435,14 @@ class TestReavgStatistic:
         plan = lq.draw_plan(lq.pauli_design(1), 7, 0)
         batch = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)
         with pytest.raises(ValueError, match="multiple"):
-            lq.reavg_statistic(batch, np.eye(2) / 2, 0.1)
+            lq.reavg_statistic(batch, np.eye(2) / 2)
 
     def test_rejects_unequal_multiplicities(self, rng):
         ens = lq.pauli_design(1)
-        plan = lq.SensingPlan(ens, 4, indices=np.array([0, 0, 1, 2]))
+        plan = lq.SensingPlan(ens, indices=np.array([0, 0, 1, 2]))
         batch = lq.measure_gaussian(plan, np.eye(2) / 2, 0.1, rng)
         with pytest.raises(ValueError, match="equally often"):
-            lq.reavg_statistic(batch, np.eye(2) / 2, 0.1)
+            lq.reavg_statistic(batch, np.eye(2) / 2)
 
     def test_radius_solves_quadratic(self):
         stat, n, d, sigma, alpha = 0.7, 64, 2, 0.4, 0.1
@@ -477,7 +492,7 @@ class TestPairedStatistic:
 class TestMembership:
     def test_exact_inequality_frobenius(self, rng):
         center = np.eye(4) / 4
-        report = lq.ConfidenceReport(center, 0.25, "frobenius", 0.05, "RSS", 0.2, 10, 4)
+        report = lq.ConfidenceReport(center, 0.25, "frobenius", 0.05, "RSS", 0.2, 10)
         inside = center + np.diag([0.2, -0.2, 0.2, -0.2])  # distance 0.4, sq 0.16
         outside = center + np.diag([0.3, -0.3, 0.3, -0.3])  # sq 0.36
         assert report.contains(inside)
@@ -487,7 +502,7 @@ class TestMembership:
 
     def test_nuclear_membership(self):
         center = np.eye(2) / 2
-        report = lq.ConfidenceReport(center, 0.25, "nuclear", 0.05, "NuclearS1", 0.0, 10, 2)
+        report = lq.ConfidenceReport(center, 0.25, "nuclear", 0.05, "NuclearS1", 0.0, 10)
         shift = np.diag([0.2, -0.2])  # nuclear norm 0.4, squared 0.16
         assert report.contains(center + shift)
         assert not report.contains(center + 2 * shift)

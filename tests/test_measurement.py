@@ -33,13 +33,13 @@ class TestGaussianChannel:
 class TestBernoulliChannel:
     def test_maximally_mixed_gives_half_probability(self):
         # any non-identity word has tr(E theta) = 0 at theta = I/d
-        plan = lq.SensingPlan(lq.pauli_design(2), 3, indices=np.array([1, 7, 15]))
+        plan = lq.SensingPlan(lq.pauli_design(2), indices=np.array([1, 7, 15]))
         p = lq.pauli_outcome_probabilities(plan, np.eye(4) / 4)
         assert_allclose(p, [0.5, 0.5, 0.5], atol=1e-14)
 
     def test_forced_outcome(self):
         # theta = |0><0|, measuring the z word: success probability is 1
-        plan = lq.SensingPlan(lq.pauli_design(1), 4, indices=np.array([3, 3, 3, 3]))
+        plan = lq.SensingPlan(lq.pauli_design(1), indices=np.array([3, 3, 3, 3]))
         state = np.diag([1.0, 0.0]).astype(complex)
         p = lq.pauli_outcome_probabilities(plan, state)
         assert_allclose(p, np.ones(4), atol=1e-12)
@@ -49,7 +49,7 @@ class TestBernoulliChannel:
     def test_error_support_and_variance_bounds(self, rng):
         d, shots, reps = 4, 8, 10**4
         state = lq.random_rank_k_state(d, 2, rng)
-        plan = lq.SensingPlan(lq.pauli_design(2), 1, indices=np.array([5]))
+        plan = lq.SensingPlan(lq.pauli_design(2), indices=np.array([5]))
         clean = float(lq.apply_sampling(plan, state)[0])
         ys = np.empty(reps)
         for rep in range(reps):
@@ -61,7 +61,7 @@ class TestBernoulliChannel:
     def test_unbiasedness(self, rng):
         d, shots, reps = 4, 4, 10**4
         state = lq.random_rank_k_state(d, 1, rng)
-        plan = lq.SensingPlan(lq.pauli_design(2), 1, indices=np.array([9]))
+        plan = lq.SensingPlan(lq.pauli_design(2), indices=np.array([9]))
         clean = float(lq.apply_sampling(plan, state)[0])
         ys = np.array(
             [lq.measure_bernoulli_pauli(plan, state, shots, (13, rep)).y[0] for rep in range(reps)]
@@ -69,7 +69,7 @@ class TestBernoulliChannel:
         assert abs(ys.mean() - clean) <= 4 * np.sqrt(d / (shots * reps))
 
     def test_rejects_non_state(self):
-        plan = lq.SensingPlan(lq.pauli_design(1), 1, indices=np.array([3]))
+        plan = lq.SensingPlan(lq.pauli_design(1), indices=np.array([3]))
         bad = np.diag([1.5, -0.5]).astype(complex)  # Hermitian but not PSD
         with pytest.raises(ValueError, match="probability outside"):
             lq.measure_bernoulli_pauli(plan, bad, shots=4, rng=0)

@@ -233,8 +233,7 @@ class TestRestartedFista:
         ensemble = lq.pauli_design(nq)
         d2 = ensemble.dim**2
         random = lq.draw_plan(ensemble, 3 * d2 + extra, g).indices
-        plan = lq.SensingPlan(ensemble, 4 * d2 + extra,
-                              indices=np.concatenate([np.arange(d2), random]))
+        plan = lq.SensingPlan(ensemble, indices=np.concatenate([np.arange(d2), random]))
         state = lq.random_rank_k_state(ensemble.dim, 1 + seed % 2, g)
         self._check_against_reference(lq.measure_gaussian(plan, state, 0.1, g))
 

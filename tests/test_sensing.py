@@ -148,8 +148,45 @@ class TestDrawPlan:
         assert np.all(np.abs(second_moment - 1.0) <= 0.05)
 
     def test_requires_positive_n(self):
-        with pytest.raises(ValueError):
-            lq.draw_plan(lq.pauli_design(1), 0, 0)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                lq.draw_plan(lq.pauli_design(1), n, 0)
+            with pytest.raises(ValueError):
+                lq.draw_plan(lq.gaussian_design(2), n, 0)
+            with pytest.raises(ValueError):
+                lq.full_basis_plan(lq.pauli_design(1), n)
+
+
+class TestPlanArrays:
+    """A plan's size is its number of draws, and its array must fit its kind."""
+
+    def test_size_is_the_draw_count(self):
+        assert lq.SensingPlan(lq.pauli_design(1), indices=np.arange(3)).n == 3
+        assert lq.SensingPlan(lq.gaussian_design(2), matrices=np.zeros((5, 2, 2))).n == 5
+
+    @pytest.mark.parametrize("ensemble, arrays", [
+        (lq.pauli_design(1), {}),
+        (lq.pauli_design(1), {"indices": np.arange(0)}),
+        (lq.pauli_design(1), {"indices": np.zeros((2, 2), dtype=int)}),
+        (lq.pauli_design(1), {"matrices": np.zeros((2, 2, 2))}),
+        (lq.pauli_design(1), {"indices": np.arange(2), "matrices": np.zeros((2, 2, 2))}),
+        (lq.gaussian_design(2), {"indices": np.arange(2)}),
+        (lq.gaussian_design(2), {"matrices": np.zeros((2, 3, 3))}),
+        (lq.gaussian_design(2), {"matrices": np.zeros((0, 2, 2))}),
+    ])
+    def test_array_must_match_kind(self, ensemble, arrays):
+        with pytest.raises(ValueError, match=f"a {ensemble.kind} plan takes only"):
+            lq.SensingPlan(ensemble, **arrays)
+
+    @pytest.mark.parametrize("index", [-1, 4, 99])
+    def test_out_of_range_index_rejected(self, index):
+        # index -1 used to read coefficient 3 and measure it without a word
+        with pytest.raises(ValueError, match=f"Pauli index {index} outside"):
+            lq.SensingPlan(lq.pauli_design(1), indices=np.array([0, index]))
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            lq.SensingPlan(lq.pauli_design(1), indices=np.array([0.0, 1.0]))
 
 
 class TestSamplingOperator:
@@ -160,7 +197,7 @@ class TestSamplingOperator:
     def test_pauli_orthonormality_picks_coefficient(self):
         ens = lq.pauli_design(2)
         target_idx = 6
-        plan = lq.SensingPlan(ens, 3, indices=np.array([6, 2, 6]))
+        plan = lq.SensingPlan(ens, indices=np.array([6, 2, 6]))
         el = lq.pauli_basis(2)[target_idx]
         vals = lq.apply_sampling(plan, el)
         assert_allclose(vals, [4.0, 0.0, 4.0], atol=1e-12)
@@ -197,7 +234,7 @@ class TestAdjointAverage:
 
     def test_single_pauli_draw(self):
         ens = lq.pauli_design(2)
-        plan = lq.SensingPlan(ens, 1, indices=np.array([9]))
+        plan = lq.SensingPlan(ens, indices=np.array([9]))
         out = lq.adjoint_average(plan, np.array([1.0]))
         assert_allclose(out, 4 * lq.pauli_basis(2)[9], atol=1e-12)
 

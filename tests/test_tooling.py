@@ -1,9 +1,10 @@
 """The benchmark harness traces package functions by name: every name that
-``perfbench/tracing.py`` lists must exist, or a traced run fails.  It also
-reads two parameters of ``pilot_estimate``: it forces ``return_info`` and
-reads ``max_iters`` from ``config`` (the default when the caller passes
-none).  The package exports exactly the names its modules list in
-``__all__``, and each export has a caller outside the tests."""
+``perfbench/tracing.py`` lists must exist, or a traced run fails.  Its hooks
+read call arguments by parameter name, so each must stay a parameter; of
+``pilot_estimate`` it also forces ``return_info`` and reads ``max_iters``
+from ``config`` (the default when the caller passes none).  The package
+exports exactly the names its modules list in ``__all__``, and each export
+has a caller outside the tests."""
 
 import ast
 import importlib
@@ -26,16 +27,41 @@ UNCALLED_EXPORTS = {
 }
 
 
-def test_traced_functions_resolve(monkeypatch):
+def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_resolve(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
     missing = [
         f"{mod}.{fn}" for mod, fns in tracing.LAYERS.items() for fn in fns
         if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{mod}"), fn, None))
     ]
     assert tracing.LAYERS and not missing
+
+
+def test_hook_arguments_are_parameters(monkeypatch):
+    # a hook _after_<module>_<fn> reads the call's arguments as args["name"];
+    # each name must stay a parameter of lowrank_uq.<module>.<fn>
+    tracing = _load_tracing(monkeypatch)
+    hooks = {f"_after_{mod}_{fn}": (mod, fn) for mod, fns in tracing.LAYERS.items() for fn in fns}
+    read = []
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name in hooks:
+            mod, fn = hooks[node.name]
+            read += [(mod, fn, sub.slice.value) for sub in ast.walk(node)
+                     if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                     and sub.value.id == "args" and isinstance(sub.slice, ast.Constant)]
+    missing = [
+        f"{mod}.{fn}({key}=)" for mod, fn, key in read
+        if key not in inspect.signature(
+            getattr(importlib.import_module(f"{tracing.PACKAGE}.{mod}"), fn)).parameters
+    ]
+    assert read and not missing
 
 
 def test_pilot_estimate_keeps_the_traced_parameters():
