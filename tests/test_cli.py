@@ -77,17 +77,17 @@ class TestSimulateCommand:
         assert "n_grid" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("old, new, match", [
-        ("R = 0.1", "R = 0.1,nan", "error_norm_sq must be finite and > 0, got nan"),
-        ("R = 0.1", "R = inf", "error_norm_sq must be finite and > 0, got inf"),
-        ("design = pauli", "design = gaussian", None),  # d = 0 under a Gaussian design
+    @pytest.mark.parametrize("edits, match", [
+        ({"R = 0.1": "R = 0.1,nan"}, "error_norm_sq must be finite and > 0, got nan"),
+        ({"R = 0.1": "R = inf"}, "error_norm_sq must be finite and > 0, got inf"),
+        ({"design = pauli": "design = gaussian", "d = 4": "d = 0"}, "d must be >= 1, got 0"),
     ])
-    def test_unusable_spec_rejected_before_any_file(self, tmp_path, capsys, old, new, match):
+    def test_unusable_spec_rejected_before_any_file(self, tmp_path, capsys, edits, match):
         # a bad R used to be found after the first results file was written,
         # and d = 0 under a Gaussian design wrote a table with exit 0
-        text = SIM_CONFIG.replace(old, new)
-        if match is None:
-            text, match = text.replace("d = 4", "d = 0"), "d must be >= 1, got 0"
+        text = SIM_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
         cfg = _write_config(tmp_path, text)
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
