@@ -92,6 +92,8 @@ def _parse_noise(token: str, sigma: float):
 
 
 def _cmd_certify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     if args.design == "pauli":
         ensemble = pauli_design(_num_qubits(args.d))
     else:

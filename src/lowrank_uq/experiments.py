@@ -86,6 +86,8 @@ class ExperimentSpec:
             raise ValueError(f"error_norm_sq must be finite and > 0, got {self.error_norm_sq}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if "pauli" in (self.design, self.error_kind):
             _num_qubits(self.d)
 

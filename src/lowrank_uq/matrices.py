@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zheevd
 
 from .tolerances import (
     EIG_RECON_RTOL,
@@ -45,6 +46,24 @@ class EigendecompositionError(np.linalg.LinAlgError):
     """Eigensolver failed to converge within its iteration cap."""
 
 
+def _eigh(a: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues of the Hermitian ``a``, with the eigenvectors as
+    columns when ``vectors``: the package's one eigensolver call.
+
+    LAPACK's zheevd on the lower triangle, the routine and triangle that
+    ``numpy.linalg.eigh`` and ``eigvalsh`` use, without numpy's per-call
+    wrapper.  Raises :class:`EigendecompositionError` when it does not
+    converge (an infinite entry, for instance).
+    """
+    lam, vec, info = zheevd(a, compute_v=int(vectors), lower=1)
+    if info != 0:
+        raise EigendecompositionError(
+            f"eigendecomposition did not converge for a {a.shape[0]}x{a.shape[0]} "
+            f"matrix with frobenius norm {frobenius_norm(a):.6e}"
+        )
+    return (lam, vec) if vectors else lam
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Symmetrize to the nearest Hermitian matrix, (A + A^dagger) / 2."""
     a = np.asarray(a, dtype=complex)
@@ -57,8 +76,8 @@ def check_hermitian(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
+    dev = float(np.abs(a - a.conj().T).max())
     if dev > HERMITIAN_ATOL * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {dev:.3e}")
     return a
@@ -70,7 +89,7 @@ def check_quantum_state(rho) -> np.ndarray:
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"state trace is {tr!r}, expected 1")
-    lam = np.linalg.eigvalsh(rho)
+    lam = _eigh(rho, vectors=False)
     if lam.min() < -PSD_ATOL:
         raise ValueError(f"state has negative eigenvalue {lam.min():.3e}")
     if np.abs(lam).sum() > 1.0 + NUCLEAR_SLACK:
@@ -84,12 +103,12 @@ def frobenius_norm(a) -> float:
 
 def nuclear_norm(a) -> float:
     """Sum of absolute eigenvalues (= singular values for Hermitian input)."""
-    return float(np.abs(np.linalg.eigvalsh(check_hermitian(a))).sum())
+    return float(np.abs(_eigh(check_hermitian(a), vectors=False)).sum())
 
 
 def operator_norm(a) -> float:
     """Largest absolute eigenvalue."""
-    return float(np.abs(np.linalg.eigvalsh(check_hermitian(a))).max())
+    return float(np.abs(_eigh(check_hermitian(a), vectors=False)).max())
 
 
 @dataclass(frozen=True)
@@ -108,13 +127,7 @@ class SpectralDecomposition:
 def eigh(a) -> SpectralDecomposition:
     """Full spectral decomposition with eigenvalues in descending order."""
     a = check_hermitian(a)
-    try:
-        lam, vec = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(
-            f"eigendecomposition did not converge for a {a.shape[0]}x{a.shape[0]} "
-            f"matrix with frobenius norm {frobenius_norm(a):.6e}"
-        ) from exc
+    lam, vec = _eigh(a)
     order = np.argsort(lam)[::-1]
     dec = SpectralDecomposition(lam[order], vec[:, order])
     scale = frobenius_norm(a)

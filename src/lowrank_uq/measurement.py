@@ -60,6 +60,9 @@ class MeasurementBatch:
     def __post_init__(self):
         if np.asarray(self.y).shape != (self.plan.n,):
             raise ValueError("outcome vector length does not match the plan")
+        if not isinstance(self.noise, (GaussianNoise, BernoulliPauliNoise)):
+            raise ValueError(f"noise must be GaussianNoise or BernoulliPauliNoise, "
+                             f"got {self.noise!r}")
 
     @property
     def n(self) -> int:
@@ -72,11 +75,9 @@ class MeasurementBatch:
 
 def noise_scale(batch: MeasurementBatch) -> float:
     """Known noise scale: sigma for Gaussian, the bound sqrt(d/T) for Bernoulli."""
-    if isinstance(batch.noise, GaussianNoise):
-        return batch.noise.sigma
     if isinstance(batch.noise, BernoulliPauliNoise):
         return float(np.sqrt(batch.noise.variance_bound(batch.dim)))
-    raise TypeError(f"unknown noise model {batch.noise!r}")
+    return batch.noise.sigma
 
 
 def measure_gaussian(plan: SensingPlan, theta, sigma: float, rng) -> MeasurementBatch:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
+    _eigh,
     _truncation_errors,
     best_rank_k,
     frobenius_norm,
@@ -101,7 +102,7 @@ def _soft_threshold_eigenvalues(a: np.ndarray, tau: float):
     ``a`` is Hermitian up to rounding (eigh reads one triangle); so is the
     result, which the summary's ``coordinates`` project back.
     """
-    lam, v = np.linalg.eigh(a)
+    lam, v = _eigh(a)
     if tau > 0:
         lam = np.sign(lam) * np.maximum(np.abs(lam) - tau, 0.0)
     return (v * lam) @ v.conj().T, float(np.abs(lam).sum())

@@ -109,12 +109,15 @@ def pauli_basis(num_qubits: int) -> np.ndarray:
 # dense bases of one block, laid out to multiply from the right:
 # _FORWARD[k][r 2^k + c, j] = conj(E_j[r, c]) and _ADJOINT[k][j, r 2^k + c] =
 # 2^k E_j[r, c], which carries the adjoint's factor d = prod 2^k. The qubits
-# go into blocks greedily, so a d <= 8 transform is one matmul on a.ravel();
-# a larger one first brings the row and column axes of each block together
-# (_INTERLEAVE) and the adjoint separates them again at the end.
+# go into blocks greedily, so a d <= 8 transform is one product with its
+# kernel; a larger one first splits the row and column axes into blocks
+# (_SPLIT), brings those of each block together (_INTERLEAVE), and the adjoint
+# separates them again at the end (_MERGED, _DEINTERLEAVE).
 _BLOCKS = {n: (3,) * (n // 3) + ((n % 3,) if n % 3 else ()) for n in range(1, _MAX_QUBITS + 1)}
 _FORWARD = {k: pauli_basis(k).reshape(4**k, -1).conj().T for k in (1, 2, 3)}
 _ADJOINT = {k: 2**k * pauli_basis(k).reshape(4**k, -1) for k in (1, 2, 3)}
+_SPLIT = {n: tuple(2**k for k in blocks) * 2 for n, blocks in _BLOCKS.items()}
+_MERGED = {n: sum(((2**k, 2**k) for k in blocks), ()) for n, blocks in _BLOCKS.items()}
 _INTERLEAVE = {
     n: tuple(ax for b in range(len(blocks)) for ax in (b, len(blocks) + b))
     for n, blocks in _BLOCKS.items()
@@ -141,9 +144,12 @@ def pauli_coefficients(a, num_qubits: int, indices=None) -> np.ndarray:
     """
     if num_qubits not in _BLOCKS:
         raise ValueError(f"number of qubits must be in [1, {_MAX_QUBITS}]")
-    blocks = _BLOCKS[num_qubits]
-    a = np.asarray(a, dtype=complex).reshape(tuple(2**k for k in blocks) * 2)
-    coeffs = _butterfly(a.transpose(_INTERLEAVE[num_qubits]), blocks, _FORWARD)
+    a = np.asarray(a, dtype=complex)
+    if num_qubits <= 3:
+        coeffs = a.reshape(-1) @ _FORWARD[num_qubits]
+    else:
+        a = a.reshape(_SPLIT[num_qubits]).transpose(_INTERLEAVE[num_qubits])
+        coeffs = _butterfly(a, _BLOCKS[num_qubits], _FORWARD)
     return coeffs if indices is None else coeffs[np.asarray(indices)]
 
 
@@ -270,8 +276,8 @@ def full_basis_plan(ensemble: DesignEnsemble, multiplicity: int) -> SensingPlan:
 
 
 def _require_real(values: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
+    scale = max(1.0, float(np.abs(values).max()) if values.size else 1.0)
+    worst = float(np.abs(values.imag).max()) if values.size else 0.0
     if worst > REAL_IMAG_ATOL * scale:
         raise ValueError(
             f"trace measurements are not real (max imaginary part {worst:.3e}); "
@@ -320,6 +326,8 @@ def adjoint_average(plan: SensingPlan, y) -> np.ndarray:
 def _pauli_synthesis(weights: np.ndarray, num_qubits: int) -> np.ndarray:
     """sum_j weights_j * d * E_j over all d^2 basis indices, not symmetrized:
     the adjoint butterfly on per-index weights."""
-    blocks = _BLOCKS[num_qubits]
-    m = _butterfly(weights, blocks, _ADJOINT).reshape(sum(((2**k, 2**k) for k in blocks), ()))
-    return m.transpose(_DEINTERLEAVE[num_qubits]).reshape(2**num_qubits, 2**num_qubits)
+    d = 2**num_qubits
+    if num_qubits <= 3:
+        return (weights @ _ADJOINT[num_qubits]).reshape(d, d)
+    m = _butterfly(weights, _BLOCKS[num_qubits], _ADJOINT).reshape(_MERGED[num_qubits])
+    return m.transpose(_DEINTERLEAVE[num_qubits]).reshape(d, d)

@@ -81,10 +81,13 @@ class TestSimulateCommand:
         ({"R = 0.1": "R = 0.1,nan"}, "error_norm_sq must be finite and > 0, got nan"),
         ({"R = 0.1": "R = inf"}, "error_norm_sq must be finite and > 0, got inf"),
         ({"design = pauli": "design = gaussian", "d = 4": "d = 0"}, "d must be >= 1, got 0"),
+        ({"seed = 12": "seed = -1"}, "seed must be a non-negative integer, got -1"),
     ])
     def test_unusable_spec_rejected_before_any_file(self, tmp_path, capsys, edits, match):
         # a bad R used to be found after the first results file was written,
-        # and d = 0 under a Gaussian design wrote a table with exit 0
+        # d = 0 under a Gaussian design wrote a table with exit 0, and a
+        # negative seed failed with a message naming no key, after the output
+        # directory was made
         text = SIM_CONFIG
         for old, new in edits.items():
             text = text.replace(old, new)
@@ -173,6 +176,13 @@ class TestCertifyCommand:
                      "--noise", "bernoulli:64"]) == 1
         assert "Pauli designs only" in capsys.readouterr().err
         assert (tmp_path / "certify_epochs.csv").read_text() == "kept\n"
+
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        # used to fail inside SeedSequence with a message naming no option
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", "--d", "4", "--eps", "0.5", "--seed", "-1"]) == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "certify_epochs.csv").exists()
 
     def test_unstopped_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

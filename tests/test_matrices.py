@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lowrank_uq as lq
-from lowrank_uq.matrices import _truncation_errors
+from lowrank_uq.matrices import _eigh, _truncation_errors
 
 from conftest import (
     bloch_grid_pure_projection,
@@ -87,6 +87,37 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             lq.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_infinite_entry_raises(self):
+        # LAPACK does not converge on the inf in the lower triangle
+        a = np.eye(4, dtype=complex)
+        a[3, 0] = a[0, 3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(lq.EigendecompositionError,
+                                                          match="did not converge"):
+            lq.eigh(a)
+
+
+class TestEigensolverEntryPoint:
+    """``_eigh`` is numpy's eigensolver without its wrapper: the same LAPACK
+    routine on the same triangle, so the same bits."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32])
+    def test_bitwise_equal_to_numpy(self, d, real):
+        rng = np.random.default_rng((d, real))
+        for _ in range(20):
+            a = random_hermitian(d, rng, real=real, scale=float(rng.uniform(0.1, 10)))
+            lam, vec = _eigh(a)
+            ref_lam, ref_vec = np.linalg.eigh(a)
+            assert np.array_equal(lam, ref_lam) and np.array_equal(vec, ref_vec)
+            assert np.array_equal(_eigh(a, vectors=False), np.linalg.eigvalsh(a))
+
+    def test_failure_is_an_eigendecomposition_error(self):
+        a = np.eye(4, dtype=complex)
+        a[3, 0] = a[0, 3] = np.inf
+        with pytest.raises(lq.EigendecompositionError):
+            _eigh(a, vectors=False)
+        assert issubclass(lq.EigendecompositionError, np.linalg.LinAlgError)
 
 
 class TestBestRankK:

@@ -92,6 +92,14 @@ class TestNoiseModels:
         bern = lq.measure_bernoulli_pauli(plan, state, 16, rng)
         assert lq.noise_scale(bern) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("noise", [0.1, None, "gaussian"])
+    def test_batch_noise_must_be_a_channel(self, noise):
+        # a float used to fail later, as AttributeError in rss_statistic and
+        # as TypeError in frobenius_ball
+        plan = lq.draw_plan(lq.pauli_design(1), 3, 0)
+        with pytest.raises(ValueError, match=f"got {noise!r}"):
+            lq.MeasurementBatch(plan, np.zeros(3), noise)
+
 
 class TestBatchCsv:
     """A measured batch has no file form: it is rebuilt from its design, its

@@ -105,6 +105,17 @@ class TestPilotEstimate:
         assert lq.frobenius_norm(pilot) == 0.0
         assert info.gap == 0.0 and info.converged and info.iterations == 1
 
+    @pytest.mark.parametrize("ensemble", [lq.pauli_design(2),
+                                          lq.gaussian_design(4, hermitian=True)])
+    def test_infinite_observation_raises_eigendecomposition_error(self, ensemble):
+        # the solver's eigensolver used to raise numpy's bare LinAlgError
+        plan = lq.draw_plan(ensemble, 32, 0)
+        y = np.zeros(32)
+        y[0] = np.inf
+        batch = lq.MeasurementBatch(plan, y, lq.GaussianNoise(1.0))
+        with np.errstate(all="ignore"), pytest.raises(lq.EigendecompositionError):
+            lq.pilot_estimate(batch)
+
     def test_objective_monotone(self, rng):
         rho = lq.random_rank_k_state(4, 1, rng)
         plan = lq.draw_plan(lq.gaussian_design(4, hermitian=True), 60, 3)

@@ -4,7 +4,8 @@ read call arguments by parameter name, so each must stay a parameter; of
 ``pilot_estimate`` it also forces ``return_info`` and reads ``max_iters``
 from ``config`` (the default when the caller passes none).  The package
 exports exactly the names its modules list in ``__all__``, and each export
-has a caller outside the tests."""
+has a caller outside the tests.  Every eigendecomposition goes through
+``matrices._eigh``."""
 
 import ast
 import importlib
@@ -98,3 +99,36 @@ def test_every_export_is_referenced():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     assert sorted(_exports() - loaded - set(UNCALLED_EXPORTS)) == []
+
+
+EIGEN_CALLS = {"eigh", "eigvalsh", "eig", "eigvals", "zheevd"}
+
+
+def _dotted(node):
+    return f"{_dotted(node.value)}.{node.attr}" if isinstance(node, ast.Attribute) else (
+        node.id if isinstance(node, ast.Name) else "")
+
+
+def test_one_eigensolver_entry_point():
+    # numpy's (or scipy's) eigensolvers are called in matrices._eigh only, so
+    # every decomposition shares its routine, its triangle and its error
+    found = []
+    for path in sorted((ROOT / "src" / "lowrank_uq").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "matrices.py":
+            entry = next(node for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "_eigh")
+            allowed = {id(node) for node in ast.walk(entry)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func)
+                if name.rpartition(".")[2] in EIGEN_CALLS and (
+                        "linalg" in name or name == "zheevd"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                found += [f"{path.name}:{node.lineno} from {node.module} import {a.name}"
+                          for a in node.names if a.name in EIGEN_CALLS - {"zheevd"}]
+    assert found == []
