@@ -47,14 +47,10 @@ class EigendecompositionError(np.linalg.LinAlgError):
 
 
 def _eigh(a: np.ndarray, vectors: bool = True):
-    """Ascending eigenvalues of the Hermitian ``a``, with the eigenvectors as
-    columns when ``vectors``: the package's one eigensolver call.
-
-    LAPACK's zheevd on the lower triangle, the routine and triangle that
-    ``numpy.linalg.eigh`` and ``eigvalsh`` use, without numpy's per-call
-    wrapper.  Raises :class:`EigendecompositionError` when it does not
-    converge (an infinite entry, for instance).
-    """
+    """Ascending eigenvalues of the Hermitian ``a`` (and, with ``vectors``, the
+    eigenvectors as columns): LAPACK zheevd on the lower triangle, the routine
+    and triangle of ``numpy.linalg.eigh``, without numpy's per-call wrapper.
+    Raises :class:`EigendecompositionError` when it does not converge."""
     lam, vec, info = zheevd(a, compute_v=int(vectors), lower=1)
     if info != 0:
         raise EigendecompositionError(
