@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zheevd
+from numpy.linalg import _umath_linalg
 
 from .tolerances import (
     EIG_RECON_RTOL,
@@ -46,18 +46,22 @@ class EigendecompositionError(np.linalg.LinAlgError):
     """Eigensolver failed to converge within its iteration cap."""
 
 
+def _raise_nonconvergence(err, flag):
+    raise EigendecompositionError("eigendecomposition did not converge")
+
+
+@np.errstate(call=_raise_nonconvergence, invalid="call",
+             divide="ignore", over="ignore", under="ignore")
 def _eigh(a: np.ndarray, vectors: bool = True):
     """Ascending eigenvalues of the Hermitian ``a`` (and, with ``vectors``, the
-    eigenvectors as columns): LAPACK zheevd on the lower triangle, the routine
-    and triangle of ``numpy.linalg.eigh``, without numpy's per-call wrapper.
-    Raises :class:`EigendecompositionError` when it does not converge."""
-    lam, vec, info = zheevd(a, compute_v=int(vectors), lower=1)
-    if info != 0:
-        raise EigendecompositionError(
-            f"eigendecomposition did not converge for a {a.shape[0]}x{a.shape[0]} "
-            f"matrix with frobenius norm {frobenius_norm(a):.6e}"
-        )
-    return (lam, vec) if vectors else lam
+    eigenvectors as columns): the LAPACK gufuncs of ``numpy.linalg.eigh`` and
+    ``eigvalsh`` on the lower triangle, under the same floating-point error
+    state but without their per-call wrapper, so numpy's bits from numpy's
+    one BLAS library.  Raises :class:`EigendecompositionError` when LAPACK
+    does not converge, which numpy reports as an invalid value."""
+    if vectors:
+        return _umath_linalg.eigh_lo(a, signature="D->dD")
+    return _umath_linalg.eigvalsh_lo(a, signature="D->d")
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

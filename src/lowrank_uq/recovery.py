@@ -71,8 +71,10 @@ class PilotConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.gap_tol < 0:
-            raise ValueError("gap_tol must be nonnegative")
+        for name in ("lambda_scale", "gap_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,36 @@ class TestEigensolverEntryPoint:
             ref_lam, ref_vec = np.linalg.eigh(a)
             assert np.array_equal(lam, ref_lam) and np.array_equal(vec, ref_vec)
             assert np.array_equal(_eigh(a, vectors=False), np.linalg.eigvalsh(a))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_infinite_entry_raises_without_warning(self, vectors):
+        # numpy reports LAPACK's non-convergence as an invalid-value error;
+        # _eigh raises its own exception from it and lets no warning out
+        a = np.eye(4, dtype=complex)
+        a[3, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lq.EigendecompositionError, match="did not converge"):
+                _eigh(a, vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_nan_entry_behaves_as_numpy(self, vectors):
+        # whatever numpy does with a NaN, _eigh does: the same values, or an
+        # error where numpy raises one
+        a = np.eye(4, dtype=complex)
+        a[1, 1] = np.nan
+        reference = np.linalg.eigh if vectors else np.linalg.eigvalsh
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = reference(a)
+            except np.linalg.LinAlgError:
+                with pytest.raises(lq.EigendecompositionError):
+                    _eigh(a, vectors=vectors)
+                return
+            got = _eigh(a, vectors=vectors)
+        pairs = zip(got, expected) if vectors else [(got, expected)]
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in pairs)
 
 
 class TestBestRankK:

@@ -185,6 +185,23 @@ class TestPilotEstimate:
         assert frac >= 0.90
 
 
+class TestPilotConfig:
+    # accepted, each of these makes a d = 4 Pauli solve misreport convergence:
+    # lambda_scale -1 "converges" with gap -3e14, nan and inf after one
+    # iteration with lambda nan or inf; gap_tol nan runs to the cap and
+    # reports a 6e-15 gap as unconverged
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_scale", -1.0), ("lambda_scale", np.nan), ("lambda_scale", np.inf),
+        ("gap_tol", np.nan),
+    ])
+    def test_rejects_values_that_misreport_convergence(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            lq.PilotConfig(**{field: value})
+
+    def test_zero_penalty_and_tolerance_stay_legal(self):
+        assert lq.PilotConfig(lambda_scale=0.0, gap_tol=0.0).lambda_scale == 0.0
+
+
 class TestLeastSquaresSummary:
     @pytest.mark.parametrize("nq", range(1, 6))
     @pytest.mark.parametrize("kind", ["random", "paired", "full"])

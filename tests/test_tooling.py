@@ -5,13 +5,15 @@ read call arguments by parameter name, so each must stay a parameter; of
 from ``config`` (the default when the caller passes none).  The package
 exports exactly the names its modules list in ``__all__``, and each export
 has a caller outside the tests.  Every eigendecomposition goes through
-``matrices._eigh``."""
+``matrices._eigh``, and the package imports no ``scipy.linalg``."""
 
 import ast
 import importlib
 import inspect
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -109,9 +111,19 @@ def _dotted(node):
         node.id if isinstance(node, ast.Name) else "")
 
 
+def _imported(node):
+    """Dotted names an import statement binds, such as ``scipy.linalg`` for
+    ``from scipy import linalg``."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    return [f"{node.module or ''}.{a.name}" for a in node.names]
+
+
 def test_one_eigensolver_entry_point():
-    # numpy's (or scipy's) eigensolvers are called in matrices._eigh only, so
-    # every decomposition shares its routine, its triangle and its error
+    # numpy's eigensolvers, and the _umath_linalg gufuncs behind them, are
+    # called in matrices._eigh only, so every decomposition shares its
+    # routine, its triangle and its error; scipy.linalg is imported nowhere,
+    # so every decomposition and product runs in numpy's one BLAS library
     found = []
     for path in sorted((ROOT / "src" / "lowrank_uq").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -120,15 +132,48 @@ def test_one_eigensolver_entry_point():
             entry = next(node for node in tree.body
                          if isinstance(node, ast.FunctionDef) and node.name == "_eigh")
             allowed = {id(node) for node in ast.walk(entry)}
+            allowed |= {id(node) for node in tree.body if isinstance(node, ast.ImportFrom)
+                        and _imported(node) == ["numpy.linalg._umath_linalg"]}
         for node in ast.walk(tree):
-            if id(node) in allowed:
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = _imported(node)
+                found += [f"{where} import {name}" for name in names
+                          if name.startswith("scipy.linalg")
+                          or (name.rpartition(".")[2] in EIGEN_CALLS and "linalg" in name)
+                          or ("_umath_linalg" in name and id(node) not in allowed)]
+            elif isinstance(node, ast.Attribute) and _dotted(node).startswith("scipy.linalg"):
+                found.append(f"{where} {_dotted(node)}")
+            elif id(node) in allowed:
                 continue
-            if isinstance(node, ast.Call):
+            elif isinstance(node, (ast.Name, ast.Attribute)) and "_umath_linalg" in (
+                    getattr(node, "id", None) or node.attr):
+                found.append(f"{where} {_dotted(node)}")
+            elif isinstance(node, ast.Call):
                 name = _dotted(node.func)
-                last = name.rpartition(".")[2]
-                if last == "zheevd" or (last in EIGEN_CALLS and "linalg" in name):
-                    found.append(f"{path.name}:{node.lineno} {name}")
-            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
-                found += [f"{path.name}:{node.lineno} from {node.module} import {a.name}"
-                          for a in node.names if a.name in EIGEN_CALLS]
+                if name.rpartition(".")[2] in EIGEN_CALLS and "linalg" in name:
+                    found.append(f"{where} {name}")
     assert found == []
+
+
+def test_package_imports_no_scipy_linalg():
+    # scipy bundles its own OpenBLAS beside numpy's, and scipy.linalg is the
+    # way into it: a LAPACK call there wakes that library's thread pool, which
+    # then competes with numpy's (a d = 32 certificate took 20-40 x as long
+    # under the default thread count).  scipy.special maps the same library,
+    # but chdtri and ndtri call none of it.  A fresh interpreter keeps the
+    # other tests' imports out.
+    code = (
+        "import sys\n"
+        "import lowrank_uq as lq\n"
+        "cfg = lq.CertificateConfig(epsilon=0.5, delta=0.1, ensemble=lq.pauli_design(2),\n"
+        "                           noise=lq.GaussianNoise(0.05))\n"
+        "lq.run_certificate(lq.random_rank_k_state(4, 1, 1), cfg, 1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = str(ROOT / "src") + (os.pathsep + inherited if inherited else "")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=ROOT, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
