@@ -3,9 +3,7 @@ confidence sets (Frobenius and nuclear norm) and a sequential stopping
 certificate."""
 
 from .calibration import (
-    CalibrationError,
     PilotFixture,
-    calibrate_ball_constant,
     calibrate_nuclear,
     calibrate_pilot_risk,
     run_calibration,

@@ -1,10 +1,11 @@
-"""Monte-Carlo calibration of the empirical constants.
+"""Monte-Carlo calibration of the nuclear-norm set's constants.
 
-Grid searches pick the smallest constant achieving a target coverage on a
-declared fixture suite; quantile fits pin the pilot risk constant D and the
-eigenvalue deviation scale.  Everything is seeded and deterministic.  The
-output is a key = value constants file whose keys are those of
-``DEFAULT_SIMULATION_CONSTANTS`` and of :func:`calibrate_nuclear`.
+Quantile fits pin the pilot risk constant D, the eigenvalue deviation scale
+c_v and the ball constant C on one declared fixture.  Everything is seeded
+and deterministic.  The output is a key = value constants file whose keys are
+those of :func:`calibrate_nuclear`.  The Frobenius balls' constants,
+``DEFAULT_SIMULATION_CONSTANTS``, are not calibrated here: they are the
+values with which the paper's Table 1 is reproduced.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants_io import save_constants
-from .experiments import ExperimentSpec, _cell_statistics
-from .frobenius_sets import DEFAULT_SIMULATION_CONSTANTS, calibrated_bound
 from .matrices import _eigh, frobenius_norm, nuclear_norm, random_rank_k_state
 from .measurement import measure_gaussian
 from .nuclear_sets import (
@@ -29,9 +28,7 @@ from .recovery import RateFunction, pilot_estimate
 from .sensing import DesignEnsemble, draw_plan, pauli_design
 
 __all__ = [
-    "CalibrationError",
     "PilotFixture",
-    "calibrate_ball_constant",
     "calibrate_pilot_risk",
     "calibrate_nuclear",
     "run_calibration",
@@ -40,43 +37,6 @@ __all__ = [
 
 # safety factor on the calibrated nuclear-set constants c_v and C
 _MARGIN = 1.05
-
-
-class CalibrationError(RuntimeError):
-    """Target coverage unreachable on the declared grid."""
-
-
-def coverage_curve(spec: ExperimentSpec, method: str, grid) -> np.ndarray:
-    """Coverage per grid constant, minimized over the sample sizes ``spec.n_grid``.
-
-    The coverage event at constant c is that of :func:`run_experiment`,
-    error_norm_sq <= :func:`calibrated_bound` at the truth, with the
-    method's deviation constant set to c.
-    """
-    r_sq = spec.error_norm_sq
-    kind = method.lower()
-    grid = np.asarray(grid, dtype=float)
-    worst = np.ones_like(grid)
-    for n in spec.n_grid:
-        stats = _cell_statistics(spec, method, n, range(spec.reps))
-        cov = np.array([
-            np.mean(r_sq <= calibrated_bound(kind, stats, math.sqrt(r_sq), n, spec.d, c))
-            for c in grid
-        ])
-        worst = np.minimum(worst, cov)
-    return worst
-
-
-def calibrate_ball_constant(spec: ExperimentSpec, method: str, target: float, grid) -> float:
-    """Smallest grid constant whose worst-case fixture coverage meets target."""
-    worst = coverage_curve(spec, method, grid)
-    ok = np.nonzero(worst >= target)[0]
-    if ok.size == 0:
-        raise CalibrationError(
-            f"target coverage {target} unreachable for {method}; "
-            f"best achieved {worst.max():.4f} at constant {np.asarray(grid)[np.argmax(worst)]:g}"
-        )
-    return float(np.asarray(grid)[ok[0]])
 
 
 @dataclass(frozen=True)
@@ -155,43 +115,22 @@ def calibrate_nuclear(fix: PilotFixture, delta: float, rng) -> dict:
     return {"pilot_D": risk_d, "nuclear_c_v": c_v, "nuclear_C": ball_c}
 
 
-def run_calibration(seed: int, out_path, targets=("rss", "ustat", "nuclear"),
-                    reps: int = 300, coverage_target: float = 0.95,
-                    delta: float = 0.1) -> dict:
+# the fixture's 95% and 1 - delta quantiles need at least this many replications
+_MIN_REPS = 60
+
+
+def run_calibration(seed: int, out_path, reps: int = 150, delta: float = 0.1) -> dict:
     """The declared calibration suite; writes the constants file and returns it.
 
-    Fixtures: the ball constants are calibrated on the isotropic design with
-    a random one-entry error of squared norm 0.1 at n in {100, 500}; the
-    nuclear-set constants on the Pauli design at d = 16, rank 2, sigma = 0.1,
-    n = 8192.  ``targets`` names at least one of rss, ustat and nuclear.
+    Fixture: the Pauli design at d = 16, rank 2, sigma = 0.1, n = 8192, with
+    ``reps`` replications (at least 60).
     """
-    if not targets:
-        raise ValueError("no calibration target; choose from rss, ustat, nuclear")
-    for name in targets:
-        if name not in ("rss", "ustat", "nuclear"):
-            raise ValueError(f"unknown calibration target {name!r}; "
-                             "choose from rss, ustat, nuclear")
-    if not 0 < coverage_target <= 1:
-        raise ValueError(f"coverage target {coverage_target} is outside (0, 1]")
+    if reps < _MIN_REPS:
+        raise ValueError(f"reps {reps} is below the floor of {_MIN_REPS}")
     if not 0 < delta < 1:
         raise ValueError(f"delta {delta} is outside (0, 1)")
-    constants = {}
-    grid = np.round(np.arange(0.25, 6.01, 0.25), 2)
-    fixture = ExperimentSpec(
-        design="gaussian", error_kind="dirac", error_norm_sq=0.1,
-        n_grid=(100, 500), reps=reps, d=32, seed=seed,
-    )
-    for kind, method in (("ustat", "UStat"), ("rss", "RSS")):
-        if kind in targets:
-            constants[f"{kind}_c"] = calibrate_ball_constant(fixture, method,
-                                                             coverage_target, grid)
-            constants[f"{kind}_c_prime"] = DEFAULT_SIMULATION_CONSTANTS[f"{kind}_c_prime"]
-    if "nuclear" in targets:
-        fix = PilotFixture(
-            ensemble=pauli_design(4), sigma=0.1, n=8192, rank=2,
-            reps=max(60, reps // 2),
-        )
-        constants.update(calibrate_nuclear(fix, delta, np.random.SeedSequence((seed, 0xA11))))
+    fix = PilotFixture(ensemble=pauli_design(4), sigma=0.1, n=8192, rank=2, reps=reps)
+    constants = calibrate_nuclear(fix, delta, np.random.SeedSequence((seed, 0xA11)))
     if out_path is not None:
         save_constants(out_path, constants, header=f"calibration seed {seed}")
     return constants

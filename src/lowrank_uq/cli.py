@@ -68,10 +68,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    constants = run_calibration(
-        seed=args.seed, out_path=args.out, targets=tuple(_split_list(args.targets)),
-        reps=args.reps, coverage_target=args.coverage_target, delta=args.delta,
-    )
+    constants = run_calibration(seed=args.seed, out_path=args.out, reps=args.reps,
+                                delta=args.delta)
     for key in sorted(constants):
         print(f"{key} = {constants[key]:.6g}")
     print(f"wrote {args.out}")
@@ -137,12 +135,10 @@ def main(argv=None) -> int:
     p_sim.add_argument("--out", required=True, help="output directory for CSV files")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_cal = sub.add_parser("calibrate", help="calibrate empirical constants")
+    p_cal = sub.add_parser("calibrate", help="calibrate the nuclear-norm set's constants")
     p_cal.add_argument("--out", required=True)
     p_cal.add_argument("--seed", type=int, default=1)
-    p_cal.add_argument("--targets", default="rss,ustat,nuclear")
-    p_cal.add_argument("--reps", type=int, default=300)
-    p_cal.add_argument("--coverage-target", type=float, default=0.95)
+    p_cal.add_argument("--reps", type=int, default=150)
     p_cal.add_argument("--delta", type=float, default=0.1)
     p_cal.set_defaults(func=_cmd_calibrate)
 

@@ -3,8 +3,9 @@
 Observations are ybar_i = tr(X^i eta) + eps_i with unit Gaussian noise,
 where eta plays the role of the estimation error theta - thetahat of norm
 ||eta||_F^2 = target ``error_norm_sq``.  Both the RSS and the pair statistic
-are computed with center 0, and the confidence balls use the calibrated
-constants of ``DEFAULT_SIMULATION_CONSTANTS`` (95% level).
+are computed with center 0, and the confidence balls use the constants of
+``DEFAULT_SIMULATION_CONSTANTS``: the values that reproduce the paper's
+Table 1, not a calibration at a coverage level.
 
 Both Gaussian ensembles (real for one-entry errors, Hermitian for Pauli-word
 errors) are standard Gaussian on a real space of dimension D = d^2, so a

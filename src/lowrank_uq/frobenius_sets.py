@@ -52,13 +52,11 @@ __all__ = [
     "DEFAULT_SIMULATION_CONSTANTS",
 ]
 
-# What the tests check of these values: with them the isotropic Table-1
-# diameters of the paper are reproduced within acceptance criterion 1's 15%,
-# and the certificates pass criterion 7.  No fixture in the repository
-# calibrates them (``calibrate --targets rss,ustat`` gives other values; see
-# ROADMAP item 13).  The one namespace of the calibrated constants:
-# ``calibrate`` writes these keys, plus ``pilot_D``, ``nuclear_c_v`` and
-# ``nuclear_C`` for the nuclear-norm set.
+# The constants of the simulation regime's balls.  What the tests check of
+# these values: with them the isotropic Table-1 diameters of the paper are
+# reproduced within acceptance criterion 1's 15%, and the certificates pass
+# criterion 7.  No code calibrates them, and they are not a calibration at a
+# coverage level.
 DEFAULT_SIMULATION_CONSTANTS = {
     "rss_c": 1.0,
     "rss_c_prime": 6.0,
@@ -169,23 +167,19 @@ def rss_radius_sq(stat: float, n: int, d: int, sigma: float, alpha: float,
                b + a * math.sqrt(4.0 * zd_term))
 
 
-def calibrated_bound(kind: str, stat, root, n: int, d: int | None = None,
-                     c: float | None = None):
+def calibrated_bound(kind: str, stat, root, n: int, d: int | None = None):
     """Right-hand side stat + dev + c' root / sqrt(n) of the calibrated balls.
 
     ``dev`` is c d / n for the pair statistic (``kind="ustat"``) and
     c / sqrt(n) for RSS (``kind="rss"``); ``root`` stands for the unknown
     distance ||v - center||_F.  Works elementwise on arrays, and leaves
     ``stat`` unclamped.  The constants come from
-    :data:`DEFAULT_SIMULATION_CONSTANTS`; only a calibration grid search
-    passes its own ``c``.
+    :data:`DEFAULT_SIMULATION_CONSTANTS`.
     """
-    if c is None:
-        c = DEFAULT_SIMULATION_CONSTANTS[f"{kind}_c"]
     if kind == "ustat":
-        dev = c * d / n
+        dev = DEFAULT_SIMULATION_CONSTANTS["ustat_c"] * d / n
     elif kind == "rss":
-        dev = c / math.sqrt(n)
+        dev = DEFAULT_SIMULATION_CONSTANTS["rss_c"] / math.sqrt(n)
     else:
         raise ValueError(f"unknown calibrated ball {kind!r}")
     return stat + dev + DEFAULT_SIMULATION_CONSTANTS[f"{kind}_c_prime"] * root / math.sqrt(n)

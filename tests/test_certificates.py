@@ -131,18 +131,20 @@ class TestRunCertificate:
             if e_th.method == "RSS":
                 assert e_th.diameter >= e_sim.diameter
 
-    def test_isotropic_ustat_epochs(self):
-        # with the flag on, isotropic designs switch to the pair statistic
-        # once an epoch half reaches d^2 measurements
-        cfg = lq.CertificateConfig(
-            epsilon=0.35, delta=0.1, ensemble=lq.gaussian_design(2, hermitian=True),
-            noise=lq.GaussianNoise(0.05), isotropic_ustat=True,
-        )
-        state = lq.random_rank_k_state(2, 1, np.random.default_rng(3))
-        cert = lq.run_certificate(state, cfg, 9)
-        assert cert.stopped
-        for e in cert.epochs:
-            assert e.method == ("RSS" if e.n_half < 4 else "UStat")
+    def test_simulation_regime_spends_no_delta(self):
+        # the simulation balls do not depend on alpha, so delta changes only
+        # the reported alpha: the epochs and the stopping time are the same
+        state = lq.random_rank_k_state(8, 2, np.random.default_rng(13))
+        loose = lq.run_certificate(state, _pauli_cfg(ensemble=lq.pauli_design(3)), 47)
+        tight = lq.run_certificate(state, _pauli_cfg(ensemble=lq.pauli_design(3),
+                                                     delta=1e-6), 47)
+
+        def fields(cert):
+            return [(e.m, e.method, e.statistic, e.radius_sq, e.diameter) for e in cert.epochs]
+
+        assert loose.stopped and fields(loose) == fields(tight)
+        assert loose.n_hat == tight.n_hat
+        assert all(e.alpha > t.alpha for e, t in zip(loose.epochs, tight.epochs))
 
     def test_diameter_capped_by_state_space(self, rng):
         cfg = _pauli_cfg(t_max=2, constants_regime="theory")
@@ -177,6 +179,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             lq.CertificateConfig(epsilon=0.0, delta=0.1, ensemble=lq.pauli_design(1),
                                  noise=lq.GaussianNoise(0.1))
+
+    @pytest.mark.parametrize("epsilon", [-0.5, float("nan"), float("inf")])
+    def test_unusable_epsilon_named(self, epsilon):
+        # nan and inf used to fail in the epoch horizon, naming no field
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            _pauli_cfg(epsilon=epsilon)
 
     def test_bad_regime(self):
         with pytest.raises(ValueError):

@@ -177,6 +177,19 @@ class TestCertifyCommand:
         assert "Pauli designs only" in capsys.readouterr().err
         assert (tmp_path / "certify_epochs.csv").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--sigma", "nan", "sigma"), ("--sigma", "inf", "sigma"), ("--sigma", "-0.1", "sigma"),
+        ("--eps", "nan", "epsilon"), ("--eps", "inf", "epsilon"), ("--eps", "0", "epsilon"),
+    ])
+    def test_unusable_sigma_or_eps_rejected(self, tmp_path, capsys, monkeypatch,
+                                            flag, value, name):
+        # a non-finite value used to fail in epoch 1 with an unrelated error
+        monkeypatch.chdir(tmp_path)
+        # a repeated option takes its last value
+        assert main(["certify", "--d", "4", "--eps", "0.5", flag, value]) == 1
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "certify_epochs.csv").exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch):
         # used to fail inside SeedSequence with a message naming no option
         monkeypatch.chdir(tmp_path)
@@ -196,40 +209,26 @@ class TestCertifyCommand:
 
 class TestCalibrateCommand:
     def test_writes_constants_file(self, tmp_path, capsys):
+        # the default --reps is the nuclear fixture's replication count
         out = tmp_path / "constants.txt"
-        rc = main([
-            "calibrate", "--out", str(out), "--seed", "5", "--targets", "rss",
-            "--reps", "120",
-        ])
-        assert rc == 0
+        assert main(["calibrate", "--out", str(out), "--seed", "5"]) == 0
         constants = lq.load_constants(out)
-        assert "rss_c" in constants and constants["rss_c"] > 0
-        namespace = set(lq.DEFAULT_SIMULATION_CONSTANTS) | {"pilot_D", "nuclear_c_v", "nuclear_C"}
-        assert set(constants) <= namespace
+        assert set(constants) == {"pilot_D", "nuclear_c_v", "nuclear_C"}
+        assert all(value > 0 for value in constants.values())
 
-    @pytest.mark.parametrize("targets, name", [
-        ("foo", "'foo'"), ("rss,nuclaer", "'nuclaer'"), ("", "no calibration target"),
-    ])
-    def test_bad_targets_rejected(self, tmp_path, capsys, targets, name):
+    def test_reps_below_floor_rejected(self, tmp_path, capsys):
+        # a count below 60 used to be raised to 60 without a word
         out = tmp_path / "constants.txt"
-        rc = main(["calibrate", "--out", str(out), "--targets", targets, "--reps", "20"])
-        assert rc == 1
-        assert name in capsys.readouterr().err
+        assert main(["calibrate", "--out", str(out), "--reps", "59"]) == 1
+        assert "reps 59 is below the floor of 60" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, name", [
-        ("--coverage-target", "0", "coverage target 0.0 is outside (0, 1]"),
-        ("--coverage-target", "1.5", "coverage target 1.5 is outside (0, 1]"),
-        ("--coverage-target", "nan", "coverage target nan is outside (0, 1]"),
         ("--delta", "1.5", "delta 1.5 is outside (0, 1)"),
         ("--delta", "0", "delta 0.0 is outside (0, 1)"),
     ])
     def test_unusable_target_or_delta_rejected(self, tmp_path, capsys, flag, value, name):
-        # a target of 0 used to write rss_c = 0.25, 1.5 to fail after the grid
-        # search, and a delta the rss target does not use went unchecked
         out = tmp_path / "constants.txt"
-        rc = main(["calibrate", "--out", str(out), "--targets", "rss", "--reps", "20",
-                   flag, value])
-        assert rc == 1
+        assert main(["calibrate", "--out", str(out), flag, value]) == 1
         assert name in capsys.readouterr().err
         assert not out.exists()

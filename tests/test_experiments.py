@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lowrank_uq as lq
-from lowrank_uq.calibration import coverage_curve
 from lowrank_uq.experiments import _orthogonal_pair_sum, _replication_seed, replication_statistic
 
 
@@ -75,8 +74,6 @@ class TestReplicationStatistics:
                                  n_grid=(20,), reps=2, d=4, seed=0)
         with pytest.raises(ValueError, match="'Foo'"):
             replication_statistic(spec, "Foo", 20, 0)
-        with pytest.raises(ValueError, match="'Foo'"):
-            coverage_curve(spec, "Foo", [1.0])
 
     @pytest.mark.parametrize("error_kind,d,n,r_sq,reps", [
         ("dirac", 1, 5, 0.5, 3000),  # D = 1: no orthogonal part
@@ -210,29 +207,6 @@ class TestIsotropyOfGaussianDesign:
 
 
 class TestCalibration:
-    def test_ustat_constant_in_expected_window(self):
-        # reproducing the benchmark's own choice: the calibrated pair-statistic
-        # constant at the 95% level lands in [1.5, 4]
-        spec = lq.ExperimentSpec(design="gaussian", error_kind="dirac", error_norm_sq=0.1,
-                                 n_grid=(100,), reps=400, d=32, seed=77)
-        grid = np.arange(0.5, 6.01, 0.25)
-        c = lq.calibrate_ball_constant(spec, "UStat", 0.95, grid)
-        assert 1.5 <= c <= 4.0
-
-    def test_unreachable_target_raises_diagnostic(self):
-        spec = lq.ExperimentSpec(design="gaussian", error_kind="dirac", error_norm_sq=1.0,
-                                 n_grid=(100,), reps=200, d=32, seed=77)
-        with pytest.raises(lq.CalibrationError, match="best achieved"):
-            lq.calibrate_ball_constant(spec, "UStat", 1.0, [2.5])
-
-    def test_deterministic(self):
-        spec = lq.ExperimentSpec(design="gaussian", error_kind="dirac", error_norm_sq=0.1,
-                                 n_grid=(100,), reps=150, d=16, seed=4)
-        grid = np.arange(0.5, 6.01, 0.5)
-        a = lq.calibrate_ball_constant(spec, "RSS", 0.9, grid)
-        b = lq.calibrate_ball_constant(spec, "RSS", 0.9, grid)
-        assert a == b
-
     def test_pilot_risk_quantile(self):
         fix = lq.PilotFixture(ensemble=lq.pauli_design(2), sigma=0.1, n=256, rank=1, reps=30)
         d_const = lq.calibrate_pilot_risk(fix, 0.1, 42)

@@ -84,6 +84,12 @@ class TestNoiseModels:
     def test_bernoulli_variance_bound(self):
         assert lq.BernoulliPauliNoise(16).variance_bound(4) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_gaussian_sigma_must_be_finite_and_nonnegative(self, sigma):
+        # nan and inf used to reach the eigensolver through the pilot
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            lq.GaussianNoise(sigma)
+
     def test_noise_scale(self, rng):
         plan = lq.draw_plan(lq.pauli_design(2), 3, 0)
         state = np.eye(4) / 4

@@ -5,7 +5,8 @@ read call arguments by parameter name, so each must stay a parameter; of
 from ``config`` (the default when the caller passes none).  The package
 exports exactly the names its modules list in ``__all__``, and each export
 has a caller outside the tests.  Every eigendecomposition goes through
-``matrices._eigh``, and the package imports no ``scipy.linalg``."""
+``matrices._eigh``, and the package imports no ``scipy.linalg``.  The README
+names exactly the options the CLI takes."""
 
 import ast
 import importlib
@@ -13,10 +14,13 @@ import inspect
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -177,3 +181,20 @@ def test_package_imports_no_scipy_linalg():
                          cwd=ROOT, env={**os.environ, "PYTHONPATH": pythonpath})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# flags the README names for pytest and pip, not for the CLI
+NON_CLI_FLAGS = {"--continue-on-collection-errors", "--no-build-isolation"}
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def test_readme_names_every_cli_flag(capsys):
+    from lowrank_uq.cli import main
+
+    flags = set()
+    for command in ("simulate", "calibrate", "certify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags |= set(FLAG.findall(capsys.readouterr().out)) - {"--help"}
+    documented = set(FLAG.findall((ROOT / "README.md").read_text())) - NON_CLI_FLAGS
+    assert flags == documented
