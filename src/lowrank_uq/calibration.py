@@ -1,9 +1,10 @@
 """Monte-Carlo calibration of the nuclear-norm set's constants.
 
 Quantile fits pin the pilot risk constant D, the eigenvalue deviation scale
-c_v and the ball constant C on one declared fixture.  Everything is seeded
-and deterministic.  The output is a key = value constants file whose keys are
-those of :func:`calibrate_nuclear`.  The Frobenius balls' constants,
+c_v and the ball constant C on one declared fixture; c_v reaches no set,
+since ``select_k_hat`` does not read the scale it multiplies.  Everything is
+seeded and deterministic.  The output is a key = value constants file whose
+keys are those of :func:`calibrate_nuclear`.  The Frobenius balls' constants,
 ``DEFAULT_SIMULATION_CONSTANTS``, are not calibrated here: they are the
 values with which the paper's Table 1 is reproduced.
 """
@@ -125,6 +126,8 @@ def run_calibration(seed: int, out_path, reps: int = 150, delta: float = 0.1) ->
     Fixture: the Pauli design at d = 16, rank 2, sigma = 0.1, n = 8192, with
     ``reps`` replications (at least 60).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if reps < _MIN_REPS:
         raise ValueError(f"reps {reps} is below the floor of {_MIN_REPS}")
     if not 0 < delta < 1:

@@ -43,6 +43,7 @@ from .sensing import DesignEnsemble, draw_paired_plan, draw_plan, full_basis_pla
 __all__ = ["CertificateConfig", "EpochRecord", "Certificate", "run_certificate"]
 
 STATE_SPACE_DIAMETER = 2.0
+T_MAX = 14  # the epoch cap: at most 2^(T_MAX+2) - 4 = 65,532 measurements
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class CertificateConfig:
     delta: float
     ensemble: DesignEnsemble
     noise: object
-    t_max: int = 14
     constants_regime: str = "simulation"
 
     def __post_init__(self):
@@ -59,8 +59,6 @@ class CertificateConfig:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
         if self.constants_regime not in ("theory", "simulation"):
             raise ValueError(f"unknown constants regime {self.constants_regime!r}")
         if not isinstance(self.noise, (GaussianNoise, BernoulliPauliNoise)):
@@ -114,37 +112,37 @@ class Certificate:
 
 
 def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
-    """Run the doubling-epoch procedure until the ball's width is <= epsilon.
+    """Run up to ``T_MAX`` doubling epochs, until the ball's width is <= epsilon.
 
-    ``target`` is either a density matrix (simulation mode: measurements are
-    generated internally under ``cfg.noise``) or a callable plan ->
-    MeasurementBatch querying a live data source; a batch for another plan
-    or under another noise than ``cfg.noise`` raises ValueError.
-    Measurements are never reused across epochs, and the pilot and
-    uncertainty halves of an epoch are disjoint.
+    ``target`` is a callable plan -> MeasurementBatch querying a live data
+    source, or a density matrix, measured under ``cfg.noise`` with draws from
+    ``rng``.  A batch for another plan or another noise than ``cfg.noise``
+    raises ValueError.  Measurements are never reused across epochs, and the
+    pilot and uncertainty halves of an epoch are disjoint.
     """
     gen = np.random.default_rng(rng)
-    if callable(target):
-        def acquire(plan):
-            # the ball reads the design and the noise level from the batch
-            batch = target(plan)
-            got = batch.plan
-            if got is not plan and not (got.ensemble == plan.ensemble
-                                        and np.array_equal(got.indices, plan.indices)
-                                        and np.array_equal(got.matrices, plan.matrices)):
-                raise ValueError("the oracle returned a batch for a different plan "
-                                 "than requested")
-            if batch.noise != cfg.noise:
-                raise ValueError(f"the oracle's noise {batch.noise!r} differs from "
-                                 f"{cfg.noise!r}")
-            return batch
-    else:
+    if not callable(target):
         state = check_quantum_state(target)
-
-        def acquire(plan):
-            if isinstance(cfg.noise, GaussianNoise):
+        if isinstance(cfg.noise, GaussianNoise):
+            def target(plan):
                 return measure_gaussian(plan, state, cfg.noise.sigma, gen)
-            return measure_bernoulli_pauli(plan, state, cfg.noise.shots, gen)
+        else:
+            def target(plan):
+                return measure_bernoulli_pauli(plan, state, cfg.noise.shots, gen)
+
+    def acquire(plan):
+        # the ball reads the design and the noise level from the batch
+        batch = target(plan)
+        got = batch.plan
+        if got is not plan and not (got.ensemble == plan.ensemble
+                                    and np.array_equal(got.indices, plan.indices)
+                                    and np.array_equal(got.matrices, plan.matrices)):
+            raise ValueError("the oracle returned a batch for a different plan "
+                             "than requested")
+        if batch.noise != cfg.noise:
+            raise ValueError(f"the oracle's noise {batch.noise!r} differs from "
+                             f"{cfg.noise!r}")
+        return batch
 
     d = cfg.ensemble.dim
     horizon = cfg.num_epochs_planned
@@ -152,7 +150,7 @@ def run_certificate(target, cfg: CertificateConfig, rng) -> Certificate:
     epochs = []
     theta_hat = None
     stopped = False
-    for m in range(1, cfg.t_max + 1):
+    for m in range(1, T_MAX + 1):
         n_half = 2**m
         pilot_plan = draw_plan(cfg.ensemble, n_half, gen)
         pilot_batch = acquire(pilot_plan)

@@ -172,9 +172,10 @@ def calibrated_bound(kind: str, stat, root, n: int, d: int | None = None):
 
     ``dev`` is c d / n for the pair statistic (``kind="ustat"``) and
     c / sqrt(n) for RSS (``kind="rss"``); ``root`` stands for the unknown
-    distance ||v - center||_F.  Works elementwise on arrays, and leaves
-    ``stat`` unclamped.  The constants come from
-    :data:`DEFAULT_SIMULATION_CONSTANTS`.
+    distance ||v - center||_F.  Works elementwise on arrays with constants
+    from :data:`DEFAULT_SIMULATION_CONSTANTS`.  Two forms: the tables pass
+    the raw ``stat`` with root sqrt(max(stat, 0)), :func:`frobenius_ball`
+    the clamped s = max(stat, 0) for both; they differ when stat < 0.
     """
     if kind == "ustat":
         dev = DEFAULT_SIMULATION_CONSTANTS["ustat_c"] * d / n
@@ -192,9 +193,9 @@ def ustat_statistic(batch: MeasurementBatch, center) -> float:
 
     Computed through the identity 2 sum_{i<j} <a_i, a_j> = ||sum_i a_i||^2 -
     sum_i ||a_i||^2, which is exactly the naive double sum at O(n d^2) cost.
-    For real designs this coincides with the entrywise double sum; for
-    complex Hermitian matrices the Frobenius inner product (with conjugation)
-    is the reading that keeps the statistic unbiased for the squared distance.
+    Both Gaussian designs take the Frobenius inner product (with conjugation),
+    the reading that keeps the statistic unbiased for the squared distance;
+    for real designs it coincides with the entrywise double sum.
     """
     n = batch.n
     if n < 2:
@@ -205,13 +206,8 @@ def ustat_statistic(batch: MeasurementBatch, center) -> float:
     d = plan.dim
     if plan.ensemble.kind == "gaussian":
         flat = plan.matrices.reshape(n, -1)
-        if np.iscomplexobj(flat):
-            draw_sq = np.einsum("ij,ij->i", flat, flat.conj()).real
-            cross = (flat.conj() @ center.ravel()).real
-        else:
-            draw_sq = np.einsum("ij,ij->i", flat, flat)
-            # Re<X, c>_F = X . Re(c) entrywise for real X
-            cross = flat @ np.ascontiguousarray(center.real.ravel())
+        draw_sq = np.einsum("ij,ij->i", flat, flat.conj()).real
+        cross = (flat.conj() @ center.ravel()).real
         total = (y @ flat).reshape(d, d) - n * center
         total_sq = float(np.sum(np.abs(total) ** 2))
         per_draw = y**2 * draw_sq - 2.0 * y * cross + float(np.sum(np.abs(center) ** 2))
@@ -317,7 +313,8 @@ def frobenius_ball(method: str, batch: MeasurementBatch, center, alpha: float,
     only the bound sqrt(d/T), so RSS and ReAvg drop their centering and the
     theory RSS radius takes the Chebyshev constants.  Theory UStat takes
     c1 = c2 = sqrt(1/alpha) (unit Frobenius bound on the target), theory RSS
-    and PairedRSS the Pauli deviation constant on Pauli designs.
+    and PairedRSS the Pauli deviation constant on Pauli designs.  The
+    simulation radius_sq is :func:`calibrated_bound` at s = max(stat, 0).
     """
     if regime not in ("theory", "simulation"):
         raise ValueError(f"unknown constants regime {regime!r}")

@@ -45,7 +45,7 @@ def rip_rate(k: int, d: int, n: int) -> float:
 class EigenvalueEstimate:
     """Estimated spectrum of the target, sorted non-increasing, with the
     deviation scale bounding partial-sum errors: |sum_{l<=j} (est - true)|
-    is expected within 2 j * deviation_scale."""
+    is expected within 2 j * deviation_scale (no step of the set reads it)."""
 
     lambdas: np.ndarray
     deviation_scale: float
@@ -53,8 +53,8 @@ class EigenvalueEstimate:
 
 @dataclass(frozen=True)
 class NuclearSetConfig:
-    """Calibrated constants: C sizes the ball, c_v scales the eigenvalue
-    deviation; both come from the calibration runs at failure budget delta."""
+    """Calibrated at failure budget delta: C sizes the ball; c_v scales the
+    eigenvalue deviation scale, which no step of the set reads."""
 
     C: float
     c_v: float
@@ -98,8 +98,8 @@ def eigenvalue_estimator(second_batch: MeasurementBatch, theta_tilde,
 
 def select_k_hat(pilot, est: EigenvalueEstimate, rate: RateFunction) -> int:
     """Smallest k such that a rank-k matrix sits within rate(k) of the pilot
-    and the estimated eigenvalue mass outside the top k is at most
-    2 k sqrt(d/n); returns d if no smaller rank qualifies."""
+    and the estimated eigenvalue mass outside the top k is at most 2 k
+    sqrt(d/n) (not ``est.deviation_scale``); d if no smaller rank qualifies."""
     pilot = check_hermitian(pilot)
     d, n = rate.dim, rate.n
     if pilot.shape[0] != d:

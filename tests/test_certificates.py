@@ -48,11 +48,12 @@ class TestRunCertificate:
                 assert e.method == "ReAvg"
 
     def test_epoch_cap_reports_not_stopped(self, rng):
-        cfg = _pauli_cfg(epsilon=1e-6, t_max=3)
+        cfg = _pauli_cfg(epsilon=1e-6)
         state = lq.random_rank_k_state(4, 2, rng)
         cert = lq.run_certificate(state, cfg, 7)
         assert not cert.stopped
-        assert len(cert.epochs) == 3
+        assert len(cert.epochs) == 14
+        assert cert.n_hat == 2**16 - 4
 
     def test_per_epoch_level(self, rng):
         cfg = _pauli_cfg()
@@ -93,9 +94,36 @@ class TestRunCertificate:
         def oracle(plan):
             return lq.measure_gaussian(answer(plan), state, 0.05, 17)
 
-        # three epochs stay below d^2, where no statistic checks the plan itself
+        # the first batch is refused, before any statistic reads its plan
         with pytest.raises(ValueError, match="different plan"):
-            lq.run_certificate(oracle, _pauli_cfg(t_max=3), 23)
+            lq.run_certificate(oracle, _pauli_cfg(), 23)
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("noise", ["gaussian", "bernoulli:64"])
+    def test_state_target_is_the_oracle_that_measures_it(self, d, noise):
+        # a state target draws its measurements from the run's generator, in
+        # the order an oracle sharing that generator draws them
+        state = lq.random_rank_k_state(d, 1, np.random.default_rng(5))
+        if noise == "gaussian":
+            channel = lq.GaussianNoise(0.05)
+
+            def measure(plan, g):
+                return lq.measure_gaussian(plan, state, 0.05, g)
+        else:
+            channel = lq.BernoulliPauliNoise(64)
+
+            def measure(plan, g):
+                return lq.measure_bernoulli_pauli(plan, state, 64, g)
+
+        cfg = _pauli_cfg(ensemble=lq.pauli_design(d.bit_length() - 1), noise=channel)
+        g = np.random.default_rng(53)
+        assert np.random.default_rng(g) is g
+        by_state = lq.run_certificate(state, cfg, g)
+        g = np.random.default_rng(53)
+        by_oracle = lq.run_certificate(lambda plan: measure(plan, g), cfg, g)
+        assert by_state.epochs == by_oracle.epochs
+        assert by_state.n_hat == by_oracle.n_hat
+        np.testing.assert_array_equal(by_state.theta_hat, by_oracle.theta_hat)
 
     @pytest.mark.parametrize("measure", [
         lambda plan, state: lq.measure_gaussian(plan, state, 0.2, 17),
@@ -125,8 +153,8 @@ class TestRunCertificate:
         # the explicit Pauli deviation constant makes the theory RSS ball far
         # wider than the calibrated one at desk scale
         state = lq.random_rank_k_state(4, 1, np.random.default_rng(5))
-        sim = lq.run_certificate(state, _pauli_cfg(t_max=3), 37)
-        theory = lq.run_certificate(state, _pauli_cfg(t_max=3, constants_regime="theory"), 37)
+        sim = lq.run_certificate(state, _pauli_cfg(), 37)
+        theory = lq.run_certificate(state, _pauli_cfg(constants_regime="theory"), 37)
         for e_sim, e_th in zip(sim.epochs, theory.epochs):
             if e_th.method == "RSS":
                 assert e_th.diameter >= e_sim.diameter
@@ -147,7 +175,7 @@ class TestRunCertificate:
         assert all(e.alpha > t.alpha for e, t in zip(loose.epochs, tight.epochs))
 
     def test_diameter_capped_by_state_space(self, rng):
-        cfg = _pauli_cfg(t_max=2, constants_regime="theory")
+        cfg = _pauli_cfg(constants_regime="theory")
         state = lq.random_rank_k_state(4, 1, rng)
         cert = lq.run_certificate(state, cfg, 41)
         assert all(e.diameter <= 2.0 for e in cert.epochs)

@@ -226,6 +226,9 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("flag, value, name", [
         ("--delta", "1.5", "delta 1.5 is outside (0, 1)"),
         ("--delta", "0", "delta 0.0 is outside (0, 1)"),
+        # a negative seed used to fail inside the fixture, naming neither the
+        # option nor the value
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
     ])
     def test_unusable_target_or_delta_rejected(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "constants.txt"

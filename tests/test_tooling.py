@@ -28,7 +28,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # exports that no module or benchmark calls, and why each stays
 UNCALLED_EXPORTS = {
     "rank_reduce": "a step of the paper's procedure",
-    "calibrate_pilot_risk": "the calibration behind test_rank_one_risk_budget",
+    "calibrate_pilot_risk": "the calibration behind test_reduced_estimator_error_bounds",
     "load_constants": "the reader of calibrate's file, for the nuclear set at a certificate stop",
     "word_to_index": "the reference for the Pauli index transform",
 }
