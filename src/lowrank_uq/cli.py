@@ -22,6 +22,14 @@ def _split_list(value: str) -> list:
     return [tok.strip() for tok in value.split(",") if tok.strip()]
 
 
+def _number(kind, name: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:  # name the option or key the text came from
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {text!r}") from None
+
+
 # keys of a ``simulate`` config; ``constants`` may only name the simulation
 # regime, the one the table harness implements
 SIMULATE_KEYS = ("seed", "design", "eta", "R", "n_grid", "reps", "d", "constants")
@@ -34,13 +42,14 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"unknown config key {key!r}")
     if cfg.get("constants", "simulation") != "simulation":
         raise ValueError(f"config key 'constants' must be simulation, got {cfg['constants']!r}")
-    seed = int(cfg.get("seed", "1"))
+    seed = _number(int, "config key 'seed'", cfg.get("seed", "1"))
     designs = _split_list(cfg.get("design", "gaussian"))
     error_kinds = _split_list(cfg.get("eta", "dirac"))
-    norms = [float(v) for v in _split_list(cfg.get("R", "0.1"))]
-    n_grid = tuple(int(v) for v in _split_list(cfg.get("n_grid", "100,200,500")))
-    reps = int(cfg.get("reps", "1000"))
-    d = int(cfg.get("d", "32"))
+    norms = [_number(float, "config key 'R'", v) for v in _split_list(cfg.get("R", "0.1"))]
+    n_grid = tuple(_number(int, "config key 'n_grid'", v)
+                   for v in _split_list(cfg.get("n_grid", "100,200,500")))
+    reps = _number(int, "config key 'reps'", cfg.get("reps", "1000"))
+    d = _number(int, "config key 'd'", cfg.get("d", "32"))
     # every spec is checked before anything is written
     specs = [
         ExperimentSpec(design=design, error_kind=kind, error_norm_sq=norm_sq,
@@ -85,7 +94,7 @@ def _parse_noise(token: str, sigma: float):
     if head == "bernoulli":
         if not value:
             raise ValueError("bernoulli noise needs a preparation count, e.g. bernoulli:64")
-        return BernoulliPauliNoise(int(value))
+        return BernoulliPauliNoise(_number(int, "the --noise preparation count", value))
     raise ValueError(f"unknown noise {token!r}")
 
 

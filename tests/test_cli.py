@@ -82,12 +82,16 @@ class TestSimulateCommand:
         ({"R = 0.1": "R = inf"}, "error_norm_sq must be finite and > 0, got inf"),
         ({"design = pauli": "design = gaussian", "d = 4": "d = 0"}, "d must be >= 1, got 0"),
         ({"seed = 12": "seed = -1"}, "seed must be a non-negative integer, got -1"),
+        ({"reps = 30": "reps = x"}, "config key 'reps' must be an integer, got 'x'"),
+        ({"R = 0.1": "R = abc"}, "config key 'R' must be a number, got 'abc'"),
+        ({"d = 4": "d = 4.5"}, "config key 'd' must be an integer, got '4.5'"),
+        ({"n_grid = 20,40": "n_grid = 20,4e1"}, "config key 'n_grid' must be an integer, got '4e1'"),
     ])
     def test_unusable_spec_rejected_before_any_file(self, tmp_path, capsys, edits, match):
         # a bad R used to be found after the first results file was written,
         # d = 0 under a Gaussian design wrote a table with exit 0, and a
         # negative seed failed with a message naming no key, after the output
-        # directory was made
+        # directory was made; a value that is no number named neither
         text = SIM_CONFIG
         for old, new in edits.items():
             text = text.replace(old, new)
@@ -167,6 +171,31 @@ class TestCertifyCommand:
         assert main(["certify", "--d", "4", "--eps", "0.5", "--noise", noise]) == 1
         assert repr(noise) in capsys.readouterr().err
         assert not (tmp_path / "certify_epochs.csv").exists()
+
+    @pytest.mark.parametrize("count", ["abc", "2.5"])
+    def test_unusable_preparation_count_named(self, tmp_path, capsys, monkeypatch, count):
+        # used to fail with int()'s message, naming neither the option nor the count
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", "--d", "4", "--eps", "0.5", "--noise", f"bernoulli:{count}"]) == 1
+        assert (f"the --noise preparation count must be an integer, got {count!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "certify_epochs.csv").exists()
+
+    @pytest.mark.parametrize("delta", ["1e-15", "1e-17"])
+    def test_theory_certificate_stops_at_small_delta(self, tmp_path, capsys, monkeypatch,
+                                                     delta):
+        # 1 - alpha/2 rounded to 1 here, so the re-averaged radius was
+        # infinite from epoch 4 on: the run never stopped and printed
+        # "Infinity", which strict JSON rejects
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", "--d", "4", "--eps", "0.5", "--constants", "theory",
+                     "--delta", delta, "--seed", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().split("\n")[-1],
+                             parse_constant=reject)
+        assert payload["stopped"] is True
 
     def test_bernoulli_noise_on_gaussian_design_rejected(self, tmp_path, capsys, monkeypatch):
         # used to fail in epoch 1, inside the Bernoulli channel

@@ -57,6 +57,27 @@ class TestQuantiles:
         want = (a / 2 + math.sqrt(a * a / 4 + b)) ** 2
         assert lq.reavg_radius_sq(stat, n, d, sigma, alpha) == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-9])
+    def test_far_tail_quantiles_match_scipy_isf(self, alpha):
+        # isf keeps the digits that ppf(1 - alpha) rounds away at these alpha
+        from scipy import stats
+
+        for df in (1, 2, 3, 65535, 65536):
+            want = (stats.chi2.isf(alpha, df) - df) / math.sqrt(df)
+            assert lq.chi_square_deviation_quantile(alpha, 1.0, df) == pytest.approx(
+                want, rel=1e-11)
+        stat, n, d, sigma = 0.3, 128, 4, 0.5
+        a = stats.norm.isf(alpha / 2) * sigma / math.sqrt(n)
+        b = stat + lq.chi_square_deviation_quantile(alpha / 2, sigma, d * d) * d / n
+        want = (a / 2 + math.sqrt(a * a / 4 + b)) ** 2
+        assert lq.reavg_radius_sq(stat, n, d, sigma, alpha) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, 0, -3])
+    def test_rejects_non_integer_degrees_of_freedom(self, n):
+        # the survival function is a finite sum over integer degrees of freedom
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n!r}"):
+            lq.chi_square_deviation_quantile(0.05, 1.0, n)
+
     def test_bernoulli_quantile(self):
         assert lq.bernoulli_deviation_quantile(0.25) == pytest.approx(2.0)
 

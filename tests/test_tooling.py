@@ -5,8 +5,9 @@ read call arguments by parameter name, so each must stay a parameter; of
 from ``config`` (the default when the caller passes none).  The package
 exports exactly the names its modules list in ``__all__``, and each export
 has a caller outside the tests.  Every eigendecomposition goes through
-``matrices._eigh``, and the package imports no ``scipy.linalg``.  The README
-names exactly the options the CLI takes."""
+``matrices._eigh``, the package loads no ``scipy`` module, and it imports
+exactly the third-party modules ``pyproject.toml`` lists as dependencies.
+The README names exactly the options the CLI takes."""
 
 import ast
 import importlib
@@ -161,19 +162,21 @@ def test_one_eigensolver_entry_point():
 
 
 def test_package_imports_no_scipy_linalg():
-    # scipy bundles its own OpenBLAS beside numpy's, and scipy.linalg is the
-    # way into it: a LAPACK call there wakes that library's thread pool, which
-    # then competes with numpy's (a d = 32 certificate took 20-40 x as long
-    # under the default thread count).  scipy.special maps the same library,
-    # but chdtri and ndtri call none of it.  A fresh interpreter keeps the
-    # other tests' imports out.
+    # scipy bundles its own OpenBLAS beside numpy's: scipy.linalg woke that
+    # library's thread pool, which then competed with numpy's (a d = 32
+    # certificate took 20-40 x as long under the default thread count), and
+    # importing scipy.special loaded that library.  The theory-regime
+    # certificates reach both quantiles, under Gaussian and Bernoulli noise.
+    # A fresh interpreter keeps the other tests' imports out.
     code = (
         "import sys\n"
         "import lowrank_uq as lq\n"
-        "cfg = lq.CertificateConfig(epsilon=0.5, delta=0.1, ensemble=lq.pauli_design(2),\n"
-        "                           noise=lq.GaussianNoise(0.05))\n"
-        "lq.run_certificate(lq.random_rank_k_state(4, 1, 1), cfg, 1)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        "for noise in (lq.GaussianNoise(0.05), lq.BernoulliPauliNoise(4096)):\n"
+        "    cfg = lq.CertificateConfig(epsilon=0.5, delta=0.1, ensemble=lq.pauli_design(2),\n"
+        "                               noise=noise, constants_regime='theory')\n"
+        "    cert = lq.run_certificate(lq.random_rank_k_state(4, 1, 1), cfg, 1)\n"
+        "    assert cert.stopped and cert.epochs[-1].method == 'ReAvg', cert.epochs[-1]\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = str(ROOT / "src") + (os.pathsep + inherited if inherited else "")
@@ -181,6 +184,22 @@ def test_package_imports_no_scipy_linalg():
                          cwd=ROOT, env={**os.environ, "PYTHONPATH": pythonpath})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_third_party_imports_are_the_dependencies():
+    # a module src/ imports that is neither the standard library's nor the
+    # package's own must be a listed dependency, and each dependency is used
+    imported = set()
+    for path in (ROOT / "src" / "lowrank_uq").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    listed = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(),
+                       re.M | re.S).group(1)
+    assert third_party and third_party == set(re.findall(r'"([A-Za-z0-9_.-]+)', listed))
 
 
 # flags the README names for pytest and pip, not for the CLI
